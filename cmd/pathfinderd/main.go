@@ -59,8 +59,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	resultCache := fs.Int("result-cache", 256, "result-cache capacity in entries (0 = disabled)")
 	snapDir := fs.String("snap-store", "", `persistent warm-snapshot store directory (default: <data-dir>/snapshots when -data-dir is set; "off" disables)`)
 	snapMax := fs.Int64("snap-store-max", snapstore.DefaultMaxBytes, "snapshot-store size cap in bytes before LRU eviction")
-	storeDelta := fs.Bool("store-delta", true, "persist warm snapshots as delta chains against their planner-prefix base (false = full blobs, pre-delta behavior)")
-	fetchDelta := fs.Bool("fetch-delta", true, "worker: advertise locally held snapshot bases on warm fetches so holders can answer with PFWD deltas (false = always fetch full blobs)")
 	pprofAddr := fs.String("pprof-addr", "", "separate listen address for net/http/pprof (empty = disabled)")
 	// Cluster flags. -coordinator, -self-url, -node-name and -heartbeat
 	// shape a worker; -lease-ttl, -dispatch-interval, -max-assigns and
@@ -182,7 +180,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The snapshot store persists warm training state across restarts, so a
 	// relaunched daemon resumes sweeps with disk hits instead of retraining.
 	// Coordinators never simulate, so they skip it.
-	harness.SetStoreDeltaEnabled(*storeDelta)
 	var snaps *snapstore.Store
 	if storeDir := *snapDir; storeDir != "off" && *role != "coordinator" {
 		if storeDir == "" && *dataDir != "" {
@@ -289,7 +286,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				Heartbeat:      *heartbeat,
 				Logger:         logger,
 				SnapStore:      snaps,
-				NoDeltaFetch:   !*fetchDelta,
 				Timeouts:       rpcTimeouts,
 				HedgeDelay:     *hedgeDelay,
 				RetryPerSecond: *retryRate,

@@ -1,9 +1,8 @@
 // Command sweepbench regenerates BENCH_sweep.json: wall-clock of a
-// cold-process AES grid sweep down three execution paths — the naive cell
-// loop, the shared-prefix planner, and the planner backed by a pre-warmed
+// cold-process AES grid sweep with no snapshot store and with a pre-warmed
 // persistent snapshot store. Each measured run starts from an empty
-// in-process warm cache, simulating a freshly started daemon, and every
-// path must produce byte-identical reports.
+// in-process warm cache, simulating a freshly started daemon, and both
+// arms must produce byte-identical reports.
 //
 //	go run ./cmd/sweepbench -trials 6 -seeds 3 -runs 2 -o BENCH_sweep.json
 package main
@@ -32,15 +31,14 @@ type phaseReport struct {
 }
 
 type benchReport struct {
-	Description    string        `json:"description"`
-	Trials         int           `json:"trials"`
-	Archs          []string      `json:"archs"`
-	Seeds          []int64       `json:"seeds"`
-	Runs           int           `json:"runs"`
-	Phases         []phaseReport `json:"phases"`
-	SpeedupPlanner float64       `json:"speedup_planner"`
-	SpeedupStore   float64       `json:"speedup_store_warm"`
-	ByteIdentical  bool          `json:"byte_identical"`
+	Description   string        `json:"description"`
+	Trials        int           `json:"trials"`
+	Archs         []string      `json:"archs"`
+	Seeds         []int64       `json:"seeds"`
+	Runs          int           `json:"runs"`
+	Phases        []phaseReport `json:"phases"`
+	SpeedupStore  float64       `json:"speedup_store_warm"`
+	ByteIdentical bool          `json:"byte_identical"`
 }
 
 func main() {
@@ -55,7 +53,7 @@ func run(args []string, stdout io.Writer) error {
 	trials := fs.Int("trials", 6, "oracle-query trials per grid cell")
 	nseeds := fs.Int("seeds", 3, "number of base seeds in the grid")
 	runs := fs.Int("runs", 2, "measured cold-process repetitions per phase")
-	minSpeedup := fs.Float64("min-speedup", 0, "fail unless the store-warm path is at least this many times faster than the naive path (0 = report only)")
+	minSpeedup := fs.Float64("min-speedup", 0, "fail unless the store-warm arm is at least this many times faster than the cold arm (0 = report only)")
 	out := fs.String("o", "", "output path (empty = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,9 +72,9 @@ func run(args []string, stdout io.Writer) error {
 	// grid runs one simulated cold process: the in-process warm cache is
 	// emptied first, so all training state comes from compute or — when a
 	// store is installed — from disk.
-	grid := func(mode harness.PlannerMode) ([]byte, time.Duration, error) {
+	grid := func() ([]byte, time.Duration, error) {
 		harness.ResetWarmCache()
-		opts := harness.Options{Seed: seeds[0], Planner: mode}
+		opts := harness.Options{Seed: seeds[0]}
 		t0 := time.Now()
 		rep, err := harness.AESGridSweep(context.Background(), opts, *trials, archs, seeds, noises)
 		elapsed := time.Since(t0)
@@ -87,14 +85,14 @@ func run(args []string, stdout io.Writer) error {
 		return raw, elapsed, err
 	}
 
-	measure := func(name string, mode harness.PlannerMode) (phaseReport, []byte, error) {
+	measure := func(name string) (phaseReport, []byte, error) {
 		ph := phaseReport{Name: name, Runs: *runs}
 		harness.ResetSnapStoreStats()
 		var canonical []byte
 		var best time.Duration
 		var total time.Duration
 		for r := 0; r < *runs; r++ {
-			raw, elapsed, err := grid(mode)
+			raw, elapsed, err := grid()
 			if err != nil {
 				return ph, nil, fmt.Errorf("%s run %d: %w", name, r, err)
 			}
@@ -115,23 +113,16 @@ func run(args []string, stdout io.Writer) error {
 		return ph, canonical, nil
 	}
 
-	// Phase 1: the naive path — no planner, no store.
+	// Arm 1: no store — every cold process retrains every prefix.
 	harness.SetSnapStore(nil)
-	naive, rawNaive, err := measure("naive", harness.PlannerOff)
+	cold, rawCold, err := measure("cold")
 	if err != nil {
 		return err
 	}
 
-	// Phase 2: the planner alone — shared prefixes are trained once per
-	// process, but nothing survives the simulated restart.
-	planner, rawPlanner, err := measure("planner", harness.PlannerOn)
-	if err != nil {
-		return err
-	}
-
-	// Phase 3: planner + persistent store. One unmeasured priming run fills
-	// the store; the measured cold processes then restore their training
-	// prefixes from disk.
+	// Arm 2: persistent store. One unmeasured priming run fills the store;
+	// the measured cold processes then restore their training prefixes
+	// from disk.
 	storeDir, err := os.MkdirTemp("", "sweepbench-store-*")
 	if err != nil {
 		return err
@@ -143,17 +134,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 	harness.SetSnapStore(st)
 	defer harness.SetSnapStore(nil)
-	if _, _, err := grid(harness.PlannerOn); err != nil {
+	if _, _, err := grid(); err != nil {
 		return fmt.Errorf("priming run: %w", err)
 	}
-	warm, rawWarm, err := measure("planner+store-warm", harness.PlannerOn)
+	warm, rawWarm, err := measure("store-warm")
 	if err != nil {
 		return err
 	}
 
-	identical := bytes.Equal(rawNaive, rawPlanner) && bytes.Equal(rawNaive, rawWarm)
+	identical := bytes.Equal(rawCold, rawWarm)
 	if !identical {
-		return fmt.Errorf("execution paths disagree: the three phases must produce byte-identical reports")
+		return fmt.Errorf("arms disagree: cold and store-warm runs must produce byte-identical reports")
 	}
 
 	archNames := make([]string, len(archs))
@@ -161,16 +152,15 @@ func run(args []string, stdout io.Writer) error {
 		archNames[i] = a.Name
 	}
 	rep := benchReport{
-		Description: "Cold-process AES grid sweep (arch x seed, noise 0) down three paths: " +
-			"naive cell loop, shared-prefix sweep planner, and planner backed by a " +
-			"pre-warmed persistent snapshot store. Every measured run starts from an " +
-			"empty warm cache; speedup_store_warm is naive avg / store-warm avg. " +
+		Description: "Cold-process AES grid sweep (arch x seed, noise 0) with no " +
+			"snapshot store and with a pre-warmed persistent snapshot store. Every " +
+			"measured run starts from an empty warm cache; speedup_store_warm is " +
+			"cold avg / store-warm avg. " +
 			"Regenerate with: go run ./cmd/sweepbench -o BENCH_sweep.json",
 		Trials: *trials, Archs: archNames, Seeds: seeds, Runs: *runs,
-		Phases:         []phaseReport{naive, planner, warm},
-		SpeedupPlanner: float64(naive.AvgNS) / float64(planner.AvgNS),
-		SpeedupStore:   float64(naive.AvgNS) / float64(warm.AvgNS),
-		ByteIdentical:  identical,
+		Phases:        []phaseReport{cold, warm},
+		SpeedupStore:  float64(cold.AvgNS) / float64(warm.AvgNS),
+		ByteIdentical: identical,
 	}
 	if *minSpeedup > 0 && rep.SpeedupStore < *minSpeedup {
 		return fmt.Errorf("store-warm speedup %.2fx is below the %.2fx floor", rep.SpeedupStore, *minSpeedup)
@@ -188,9 +178,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "naive %.1fms, planner %.1fms (%.2fx), store-warm %.1fms (%.2fx), byte-identical %v\n",
-		float64(naive.AvgNS)/1e6, float64(planner.AvgNS)/1e6, rep.SpeedupPlanner,
-		float64(warm.AvgNS)/1e6, rep.SpeedupStore, identical)
+	fmt.Fprintf(stdout, "cold %.1fms, store-warm %.1fms (%.2fx), byte-identical %v\n",
+		float64(cold.AvgNS)/1e6, float64(warm.AvgNS)/1e6, rep.SpeedupStore, identical)
 	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	return nil
 }

@@ -105,7 +105,7 @@ func TestAESWarmCacheBatchSizeInvariant(t *testing.T) {
 		t.Skip("long test")
 	}
 	ctx := context.Background()
-	off, err := AESLeakEval(ctx, Options{Parallelism: 1, BatchSize: 1, WarmCache: WarmCacheOff}, 4, 0)
+	off, err := AESLeakEval(ctx, Options{Parallelism: 1, BatchSize: 1, noWarmCache: true}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAESWarmCacheBatchSizeInvariant(t *testing.T) {
 	for _, k := range batchGrid() {
 		warm.reset()
 		for _, state := range []string{"cold", "warm"} {
-			rep, err := AESLeakEval(ctx, Options{BatchSize: k, WarmCache: WarmCacheOn}, 4, 0)
+			rep, err := AESLeakEval(ctx, Options{BatchSize: k}, 4, 0)
 			if err != nil {
 				t.Fatalf("batch %d (%s cache): %v", k, state, err)
 			}

@@ -97,22 +97,11 @@ type Options struct {
 	// zero value selects the historical three immediate attempts.
 	Retry Retry
 
-	// WarmCache selects the warm-state cache policy (warmcache.go): the
-	// checkpointed drivers snapshot trained machine state and restore it
-	// instead of re-running training loops when an identically configured
-	// phase has already run in this process. The zero value (Auto) keeps
-	// the cache on unless the PATHFINDER_WARMCACHE environment variable
-	// kills it; reports are byte-identical either way — the cache trades
-	// time, never outcomes. RefModel runs always bypass the cache.
-	WarmCache WarmCacheMode
-
-	// Planner selects the sweep-planner policy (planner.go) for the grid
-	// drivers (AESGridSweep, AESNoiseSweep): group cells by their shared
-	// training prefix, train each distinct prefix once, and prefetch the
-	// next group's checkpoint from the persistent snapshot store while the
-	// current group executes. The zero value (Auto) follows the warm cache;
-	// reports are byte-identical with the planner on or off.
-	Planner PlannerMode
+	// noWarmCache turns the warm-state cache (warmcache.go) off for this
+	// run. The cache trades time, never outcomes, so only this package's
+	// tests set it, to compare cache-on reports against a cache-off
+	// baseline.
+	noWarmCache bool
 }
 
 // workers resolves the worker-pool size for the sharded drivers.
@@ -679,7 +668,7 @@ type AESEvalResult struct {
 
 // aesEvalKey is the fixed AES key of the §9 evaluation (the FIPS-197
 // appendix key). Its hash content-addresses the phase-1 checkpoint, so the
-// sweep planner can compute a cell's prefix key without building a machine.
+// sweeps can compute a cell's prefix key without building a machine.
 var aesEvalKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 	0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
 
@@ -969,11 +958,13 @@ func AESNoiseSweep(ctx context.Context, opts Options, trials int, noise float64,
 	}
 	rep := &NoiseSweepReport{Profile: base}
 	// Every point shares one phase-1 prefix — the checkpoint key omits the
-	// fault profile — so under the planner the whole ladder forms a single
-	// group behind one recovery (trained once, or restored from the
-	// persistent store). Each cell writes its own slot; the report is
-	// assembled in intensity order, so planner routing is byte-neutral.
-	prefix := aesPhase1Key(opts, noise)
+	// fault profile — so the whole ladder runs behind one recovery (trained
+	// once, or restored from the persistent store). Each cell writes its
+	// own slot; the report is assembled in intensity order.
+	var prefix WarmStateKey
+	if opts.warmOn() {
+		prefix = aesPhase1Key(opts, noise)
+	}
 	results := make([]AESEvalResult, len(intensities))
 	cells := make([]SweepCell, len(intensities))
 	for i, p := range intensities {
@@ -994,13 +985,7 @@ func AESNoiseSweep(ctx context.Context, opts Options, trials int, noise float64,
 			},
 		}
 	}
-	var err error
-	if opts.plannerOn() {
-		err = RunSweep(ctx, cells)
-	} else {
-		err = runSweepNaive(ctx, cells)
-	}
-	if err != nil {
+	if err := RunSweep(ctx, cells); err != nil {
 		return nil, err
 	}
 	for i, p := range intensities {
@@ -1027,16 +1012,15 @@ type AESGridReport struct {
 
 // AESGridSweep runs the §9 AES evaluation over a grid of
 // microarchitectures, base seeds and noise levels — the batch shape the
-// robustness studies sweep. Cells execute through the sweep planner: they
-// are grouped by their phase-1 checkpoint address, each distinct checkpoint
-// is trained once (or restored from the persistent snapshot store, which is
-// what makes a repeated sweep in a fresh process fast), and the next
-// group's checkpoint is prefetched from the store while the current group
-// executes. Empty dimension slices default to the options' own arch and
-// seed and noise 0. Each cell writes its own grid slot and the report is
-// assembled in grid order, so the report is a pure function of (Options,
-// arguments): byte-identical with the planner or the store on or off, at
-// every Parallelism and BatchSize.
+// robustness studies sweep. Cells execute in grid order through RunSweep:
+// each cell's phase-1 checkpoint is trained once (or restored from the
+// persistent snapshot store, which is what makes a repeated sweep in a
+// fresh process fast), and the next cell's checkpoint is prefetched from
+// the store while the current cell executes. Empty dimension slices default
+// to the options' own arch and seed and noise 0. Each cell writes its own
+// grid slot and the report is assembled in grid order, so the report is a
+// pure function of (Options, arguments): byte-identical with the warm cache
+// or the store on or off, at every Parallelism and BatchSize.
 func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Config, seeds []int64, noises []float64) (*AESGridReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -1064,9 +1048,8 @@ func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Con
 				key := aesPhase1Key(o, nz)
 				ci := i
 				points[ci] = AESGridPoint{Arch: key.Arch, Seed: key.Seed, Noise: nz}
-				cells = append(cells, SweepCell{
-					Label:  fmt.Sprintf("aes[%s seed=%d noise=%g]", key.Arch, key.Seed, nz),
-					Prefix: key,
+				cell := SweepCell{
+					Label: fmt.Sprintf("aes[%s seed=%d noise=%g]", key.Arch, key.Seed, nz),
 					Run: func(ctx context.Context) error {
 						res, err := AESLeakEval(ctx, o, trials, nz)
 						if err != nil {
@@ -1075,18 +1058,16 @@ func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Con
 						results[ci] = *res
 						return nil
 					},
-				})
+				}
+				if opts.warmOn() {
+					cell.Prefix = key
+				}
+				cells = append(cells, cell)
 				i++
 			}
 		}
 	}
-	var err error
-	if opts.plannerOn() {
-		err = RunSweep(ctx, cells)
-	} else {
-		err = runSweepNaive(ctx, cells)
-	}
-	if err != nil {
+	if err := RunSweep(ctx, cells); err != nil {
 		return nil, err
 	}
 	rep := &AESGridReport{Points: points}

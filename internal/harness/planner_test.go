@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"pathfinder/internal/bpu"
 	"pathfinder/internal/core"
@@ -44,38 +45,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := AESGridSweep(context.Background(), Options{Parallelism: -1}, 1, nil, nil, nil); err == nil {
 		t.Error("AESGridSweep accepted negative Parallelism")
-	}
-}
-
-func TestPlanSweepGrouping(t *testing.T) {
-	k := func(seed int64) WarmStateKey { return WarmStateKey{Kind: "t", Arch: "a", Seed: seed} }
-	nop := func(context.Context) error { return nil }
-	cells := []SweepCell{
-		{Label: "a0", Prefix: k(1), Run: nop},
-		{Label: "b0", Prefix: k(2), Run: nop},
-		{Label: "free", Run: nop}, // zero prefix: singleton group in place
-		{Label: "a1", Prefix: k(1), Run: nop},
-		{Label: "b1", Prefix: k(2), Run: nop},
-		{Label: "a2", Prefix: k(1), Run: nop},
-	}
-	p := PlanSweep(cells)
-	want := [][]int{{0, 3, 5}, {1, 4}, {2}}
-	if len(p.Groups) != len(want) {
-		t.Fatalf("%d groups, want %d", len(p.Groups), len(want))
-	}
-	for gi, w := range want {
-		g := p.Groups[gi]
-		if len(g.Cells) != len(w) {
-			t.Fatalf("group %d holds %v, want %v", gi, g.Cells, w)
-		}
-		for i := range w {
-			if g.Cells[i] != w[i] {
-				t.Fatalf("group %d holds %v, want %v", gi, g.Cells, w)
-			}
-		}
-	}
-	if p.Groups[0].Prefix != k(1) || p.Groups[1].Prefix != k(2) || p.Groups[2].Prefix != (WarmStateKey{}) {
-		t.Fatal("group prefixes lost")
 	}
 }
 
@@ -221,6 +190,84 @@ func TestRunSweepPrefetchPipeline(t *testing.T) {
 	}
 }
 
+// loadSignalStore reports every Load key on a channel, so a test can
+// observe a background prefetch reaching the store.
+type loadSignalStore struct {
+	*fakeSnapStore
+	loads chan string
+}
+
+func (s loadSignalStore) Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool) {
+	defer func() { s.loads <- key }()
+	return s.fakeSnapStore.Load(key)
+}
+
+// TestRunSweepInputOrderGroups: cells run in input order, only
+// consecutive cells with one prefix form a group, and the next group's
+// prefix prefetch starts while the current group executes.
+func TestRunSweepInputOrderGroups(t *testing.T) {
+	f := installFakeStore(t)
+	kA := WarmStateKey{Kind: "grp", Arch: "a", Seed: 1}
+	kB := WarmStateKey{Kind: "grp", Arch: "a", Seed: 2}
+	f.m[kB.String()] = &warmEntry{snap: cpu.New(cpu.Options{Seed: 3}).Snapshot()}
+
+	sweep := func(t *testing.T, prefixes []WarmStateKey, during map[int]func()) {
+		t.Helper()
+		warm.reset()
+		ResetPlannerStats()
+		var order []int
+		cells := make([]SweepCell, len(prefixes))
+		for i, k := range prefixes {
+			cells[i] = SweepCell{Prefix: k, Run: func(context.Context) error {
+				order = append(order, i)
+				if fn := during[i]; fn != nil {
+					fn()
+				}
+				return nil
+			}}
+		}
+		if err := RunSweep(context.Background(), cells); err != nil {
+			t.Fatal(err)
+		}
+		for i, ci := range order {
+			if ci != i {
+				t.Fatalf("cells ran in order %v, want input order", order)
+			}
+		}
+	}
+
+	// Each sweep below issues at most two prefetch loads; the buffer keeps
+	// an unread one from blocking the prefetch goroutine.
+	loads := make(chan string, 4)
+	SetSnapStore(loadSignalStore{f, loads})
+	sweep(t, []WarmStateKey{kA, kB, kA}, nil)
+	if groups, cells, shared, _, _ := PlannerStats(); groups != 3 || cells != 3 || shared != 0 {
+		t.Fatalf("a,b,a: groups=%d cells=%d shared=%d, want 3/3/0", groups, cells, shared)
+	}
+
+	loads = make(chan string, 4)
+	SetSnapStore(loadSignalStore{f, loads})
+	sweep(t, []WarmStateKey{kA, kA, kB}, map[int]func(){0: func() {
+		select {
+		case k := <-loads:
+			if k != kB.String() {
+				t.Errorf("prefetch loaded %q, want b's prefix", k)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("b's prefix prefetch did not start while the a-run executed")
+		}
+	}})
+	if groups, cells, shared, _, _ := PlannerStats(); groups != 2 || cells != 3 || shared != 1 {
+		t.Fatalf("a,a,b: groups=%d cells=%d shared=%d, want 2/3/1", groups, cells, shared)
+	}
+
+	// Zero-prefix cells share nothing, even when adjacent.
+	sweep(t, []WarmStateKey{{}, {}}, nil)
+	if groups, cells, shared, _, _ := PlannerStats(); groups != 2 || cells != 2 || shared != 0 {
+		t.Fatalf("zero,zero: groups=%d cells=%d shared=%d, want 2/2/0", groups, cells, shared)
+	}
+}
+
 // TestRunSweepCellError: a failing cell aborts the sweep with its label.
 func TestRunSweepCellError(t *testing.T) {
 	boom := errors.New("boom")
@@ -239,10 +286,11 @@ func TestRunSweepCellError(t *testing.T) {
 	}
 }
 
-// TestAESGridSweepPlannerStoreByteIdentical is the tentpole's determinism
-// contract: the grid report is byte-identical with the planner and the
-// persistent store in every on/off combination, at sequential and parallel
-// Parallelism and at per-trial and auto BatchSize.
+// TestAESGridSweepPlannerStoreByteIdentical is the sweep determinism
+// contract: the grid report is byte-identical to the cache-off sequential
+// baseline with the warm cache on and the persistent store absent, cold or
+// warm, at sequential and parallel Parallelism and at per-trial and auto
+// BatchSize.
 func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
@@ -264,7 +312,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		return marshalReport(t, rep)
 	}
 
-	want := run(t, Options{Parallelism: 1, WarmCache: WarmCacheOff, Planner: PlannerOff}, nil)
+	want := run(t, Options{Parallelism: 1, noWarmCache: true}, nil)
 
 	dir := t.TempDir()
 	openStore := func(t *testing.T) *snapstore.Store {
@@ -280,12 +328,12 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		opts  Options
 		store bool
 	}{
-		{"planner-on", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, false},
-		{"planner-on-store-cold", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"planner-on-store-warm", Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"planner-off-store-warm", Options{WarmCache: WarmCacheOn, Planner: PlannerOff}, true},
-		{"p1-batch1-store-warm", Options{Parallelism: 1, BatchSize: 1, WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
-		{"p4-store-warm", Options{Parallelism: 4, WarmCache: WarmCacheOn, Planner: PlannerOn}, true},
+		{"planner-on", Options{}, false},
+		{"planner-on-store-cold", Options{}, true},
+		{"planner-on-store-warm", Options{}, true},
+		{"planner-off-store-warm", Options{}, true},
+		{"p1-batch1-store-warm", Options{Parallelism: 1, BatchSize: 1}, true},
+		{"p4-store-warm", Options{Parallelism: 4}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,7 +342,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 				s = openStore(t) // fresh Open each run: the cold-process path
 			}
 			if got := run(t, tc.opts, s); got != want {
-				t.Errorf("report diverges from planner-off/store-off sequential baseline\ngot:  %s\nwant: %s", got, want)
+				t.Errorf("report diverges from cache-off/store-off sequential baseline\ngot:  %s\nwant: %s", got, want)
 			}
 		})
 	}
@@ -306,7 +354,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	s := openStore(t)
 	SetSnapStore(s)
 	defer SetSnapStore(nil)
-	rep, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, trials, archs, seeds, nil)
+	rep, err := AESGridSweep(ctx, Options{}, trials, archs, seeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,63 +366,8 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAESGridSweepStoreUsesDeltaChains: spilling a multi-seed grid through
-// the real store must persist later cells of each warm-key class as delta
-// entries (the tentpole's on-disk reduction), stay fully loadable, and
-// degrade to all-full-blob spills when delta persistence is toggled off.
-func TestAESGridSweepStoreUsesDeltaChains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long test")
-	}
-	ctx := context.Background()
-	archs := []bpu.Config{bpu.AlderLake}
-	seeds := []int64{31, 32}
-
-	sweep := func(t *testing.T, dir string) *snapstore.Store {
-		t.Helper()
-		s, err := snapstore.Open(dir, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm.reset()
-		SetSnapStore(s)
-		t.Cleanup(func() { SetSnapStore(nil) })
-		if _, err := AESGridSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, 2, archs, seeds, nil); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	s := sweep(t, t.TempDir())
-	var full, delta int
-	for _, e := range s.Entries() {
-		if e.Delta {
-			delta++
-		} else {
-			full++
-		}
-	}
-	if full == 0 || delta == 0 {
-		t.Fatalf("store holds %d full / %d delta entries; a two-seed grid must chain (full anchors plus deltas)", full, delta)
-	}
-	for _, e := range s.Entries() {
-		if _, _, ok := s.Load(e.Key); !ok {
-			t.Fatalf("entry %q unloadable (delta=%v base=%q)", e.Key, e.Delta, e.Base)
-		}
-	}
-
-	SetStoreDeltaEnabled(false)
-	defer SetStoreDeltaEnabled(true)
-	s2 := sweep(t, t.TempDir())
-	for _, e := range s2.Entries() {
-		if e.Delta {
-			t.Fatalf("entry %q stored as a delta with delta persistence disabled", e.Key)
-		}
-	}
-}
-
 // TestAESNoiseSweepPlannerByteIdentical: the ladder shares one phase-1
-// prefix; routed through the planner it must reproduce the naive report.
+// prefix; run with the warm cache it must reproduce the cache-off report.
 func TestAESNoiseSweepPlannerByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
@@ -382,25 +375,25 @@ func TestAESNoiseSweepPlannerByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	intensities := []float64{0, 0.004}
 	warm.reset()
-	off, err := AESNoiseSweep(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOff, Planner: PlannerOff}, 2, 0.015, intensities)
+	off, err := AESNoiseSweep(ctx, Options{Parallelism: 1, noWarmCache: true}, 2, 0.015, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := marshalReport(t, off)
 	warm.reset()
-	on, err := AESNoiseSweep(ctx, Options{WarmCache: WarmCacheOn, Planner: PlannerOn}, 2, 0.015, intensities)
+	on, err := AESNoiseSweep(ctx, Options{}, 2, 0.015, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := marshalReport(t, on); got != want {
-		t.Errorf("planner-routed noise sweep diverges:\ngot:  %s\nwant: %s", got, want)
+		t.Errorf("cache-on noise sweep diverges:\ngot:  %s\nwant: %s", got, want)
 	}
 	if _, _, shared, _, _ := PlannerStats(); shared == 0 {
-		t.Error("noise ladder shared no prefix cells under the planner")
+		t.Error("noise ladder shared no prefix cells")
 	}
 }
 
-// TestAESLeakEvalStoreColdProcess: the §9 driver itself (no planner) must
+// TestAESLeakEvalStoreColdProcess: the §9 driver itself (no sweep) must
 // resume from the persistent store after a simulated process restart, with
 // a byte-identical report and zero phase-1 retraining.
 func TestAESLeakEvalStoreColdProcess(t *testing.T) {
@@ -417,7 +410,7 @@ func TestAESLeakEvalStoreColdProcess(t *testing.T) {
 	}
 	SetSnapStore(s1)
 	defer SetSnapStore(nil)
-	first, err := AESLeakEval(ctx, Options{WarmCache: WarmCacheOn}, 4, 0)
+	first, err := AESLeakEval(ctx, Options{}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +424,7 @@ func TestAESLeakEvalStoreColdProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetSnapStore(s2)
-	second, err := AESLeakEval(ctx, Options{WarmCache: WarmCacheOn}, 4, 0)
+	second, err := AESLeakEval(ctx, Options{}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // payload hash plus the snapshot envelope's own content hash before
 // anything is restored. A store hit is observationally identical to a local
 // recompute, so reports stay byte-identical with the store installed or
-// not — the planner invariance tests pin that.
+// not — the grid-sweep invariance tests pin that.
 
 // SnapStore is the persistent tier's contract. Keys are canonical
 // WarmStateKey spellings (WarmStateKey.String). Load reports a verified
@@ -33,16 +33,6 @@ type SnapStore interface {
 	Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool)
 	Save(key string, snap *cpu.Snapshot, rec *core.ExtendedResult)
 	Stats() (hits, misses, puts, evictions uint64, bytes int64, entries int)
-}
-
-// DeltaSaver is the optional delta-persistence extension of SnapStore: a
-// store implementing it can persist an entry as a delta against a base
-// entry it already holds, falling back to a full blob on its own judgment
-// (missing or corrupt base, chain too deep). *snapstore.Store implements
-// it. The harness type-asserts rather than widening SnapStore so existing
-// stores and test fakes keep working unchanged.
-type DeltaSaver interface {
-	SaveDelta(key string, snap *cpu.Snapshot, rec *core.ExtendedResult, baseKey string)
 }
 
 var (
@@ -58,16 +48,11 @@ var (
 
 // SetSnapStore installs (or, with nil, removes) the process-global snapshot
 // store. Install before starting drivers; swapping mid-run is safe but
-// leaves earlier entries only in whichever store received them. Delta-chain
-// base tracking restarts with the new store (bases recorded against the old
-// one are meaningless in it).
+// leaves earlier entries only in whichever store received them.
 func SetSnapStore(s SnapStore) {
 	snapStoreMu.Lock()
 	snapStore = s
 	snapStoreMu.Unlock()
-	storeDeltaMu.Lock()
-	clear(deltaBases)
-	storeDeltaMu.Unlock()
 }
 
 // InstalledSnapStore returns the currently installed store, if any.
@@ -107,66 +92,14 @@ func storeLoad(key warmKey) (*warmEntry, bool) {
 	return &warmEntry{snap: snap, rec: rec}, true
 }
 
-var (
-	// Delta-chain base selection: grid cells that share a warm-key "class"
-	// (everything but seed and noise — same kind, arch, PHR size and
-	// program) differ in a few PHT counters and the PHR tail, so each spill
-	// records itself as the class's base and the next spill in the class
-	// persists as a delta against it. The store bounds chain depth with
-	// periodic full-blob anchors, so the harness can chain indefinitely.
-	storeDeltaMu sync.Mutex
-	storeDeltaOn = true
-	deltaBases   = make(map[warmKey]warmKey)
-)
-
-// SetStoreDeltaEnabled toggles delta-chain persistence of warm entries
-// (pathfinderd's -store-delta flag). Off means every spill is a full blob,
-// exactly the pre-delta behavior. The setting is correctness-neutral either
-// way; it trades on-disk bytes against a bounded base-resolution cost at
-// load time.
-func SetStoreDeltaEnabled(on bool) {
-	storeDeltaMu.Lock()
-	storeDeltaOn = on
-	clear(deltaBases)
-	storeDeltaMu.Unlock()
-}
-
-// storeDeltaClass is the chain-grouping key: the warm key with its per-cell
-// axes (seed, noise) zeroed.
-func storeDeltaClass(k warmKey) warmKey {
-	k.seed, k.noise = 0, 0
-	return k
-}
-
 // storeSpill persists a warm entry. Re-spilling a resident key is a cheap
 // no-op (the store is first-writer-wins), so callers spill unconditionally
-// after populating the in-memory cache. When the store can persist deltas,
-// the entry is saved against its class's previous spill; concurrent spills
-// of one class race benignly (a stale or missing base makes the store fall
-// back to a full blob).
+// after populating the in-memory cache.
 func storeSpill(key warmKey, e *warmEntry) {
 	if e == nil || e.snap == nil {
 		return
 	}
-	s := InstalledSnapStore()
-	if s == nil {
-		return
+	if s := InstalledSnapStore(); s != nil {
+		s.Save(exportKey(key).String(), e.snap, e.rec)
 	}
-	ks := exportKey(key).String()
-	if ds, ok := s.(DeltaSaver); ok {
-		storeDeltaMu.Lock()
-		on := storeDeltaOn
-		var base warmKey
-		var hasBase bool
-		if on {
-			base, hasBase = deltaBases[storeDeltaClass(key)]
-			deltaBases[storeDeltaClass(key)] = key
-		}
-		storeDeltaMu.Unlock()
-		if on && hasBase && base != key {
-			ds.SaveDelta(ks, e.snap, e.rec, exportKey(base).String())
-			return
-		}
-	}
-	s.Save(ks, e.snap, e.rec)
 }

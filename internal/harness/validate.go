@@ -18,7 +18,7 @@ func (e *OptionsError) Error() string {
 // Validate rejects option values that used to be absorbed silently: a
 // negative Parallelism fell through to GOMAXPROCS and a negative BatchSize
 // to the auto-tuned default, masking caller bugs. The sharded drivers and
-// the sweep planner validate up front and refuse to start; zero stays the
+// the grid sweeps validate up front and refuse to start; zero stays the
 // documented "pick the default" sentinel for both fields.
 func (o Options) Validate() error {
 	if o.Parallelism < 0 {

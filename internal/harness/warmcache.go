@@ -2,8 +2,6 @@ package harness
 
 import (
 	"container/list"
-	"os"
-	"strings"
 	"sync"
 
 	"pathfinder/internal/core"
@@ -34,44 +32,13 @@ import (
 // captured state is provably independent of what the key omits (documented
 // at each call site). Reports therefore stay byte-identical with the cache
 // on or off, at every Parallelism level; the determinism tests pin exactly
-// that.
+// that, turning the cache off through the unexported Options.noWarmCache.
 
-// WarmCacheMode selects the warm-state cache policy for a driver run.
-type WarmCacheMode int
-
-// Warm-cache modes. The zero value (Auto) keeps the cache on, so zero
-// Options preserve the default-on contract; the PATHFINDER_WARMCACHE
-// environment variable ("off", "0", "false", "no") is Auto's kill switch.
-// Explicit On/Off win over the environment.
-const (
-	WarmCacheAuto WarmCacheMode = iota
-	WarmCacheOff
-	WarmCacheOn
-)
-
-// warmCacheEnvOff reports whether the environment kills the cache.
-func warmCacheEnvOff() bool {
-	switch strings.ToLower(os.Getenv("PATHFINDER_WARMCACHE")) {
-	case "off", "0", "false", "no":
-		return true
-	}
-	return false
-}
-
-// warmOn resolves the effective cache policy for this run. The refmodel
-// oracle always bypasses the cache: a custom predictor's state cannot be
-// captured (cpu.Snapshot panics), mirroring the machine-pool rule.
+// warmOn resolves whether this run uses the cache. The refmodel oracle
+// always bypasses it: a custom predictor's state cannot be captured
+// (cpu.Snapshot panics), mirroring the machine-pool rule.
 func (o Options) warmOn() bool {
-	if o.RefModel {
-		return false
-	}
-	switch o.WarmCache {
-	case WarmCacheOn:
-		return true
-	case WarmCacheOff:
-		return false
-	}
-	return !warmCacheEnvOff()
+	return !o.RefModel && !o.noWarmCache
 }
 
 // warmKey is the content address of one cached snapshot. All fields are

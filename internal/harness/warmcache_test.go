@@ -108,9 +108,9 @@ func TestWarmCacheErrorsNotCached(t *testing.T) {
 func TestWarmCacheStats(t *testing.T) {
 	c := newWarmCache(4)
 	key := warmKey{kind: "t"}
-	c.get(key)                // miss
+	c.get(key) // miss
 	c.putIfAbsent(key, warmTestEntry(0))
-	c.get(key)                // hit
+	c.get(key) // hit
 	if _, err := c.do(key, func() (*warmEntry, error) { return nil, errors.New("unreachable") }); err != nil {
 		t.Fatal(err)
 	} // hit
@@ -120,24 +120,18 @@ func TestWarmCacheStats(t *testing.T) {
 	}
 }
 
-func TestWarmCacheModeResolution(t *testing.T) {
+func TestWarmOnResolution(t *testing.T) {
 	cases := []struct {
 		name string
-		env  string
 		opts Options
 		want bool
 	}{
-		{"auto default on", "", Options{}, true},
-		{"auto env kills", "off", Options{}, false},
-		{"auto env kills 0", "0", Options{}, false},
-		{"auto env kills FALSE", "FALSE", Options{}, false},
-		{"explicit on beats env", "off", Options{WarmCache: WarmCacheOn}, true},
-		{"explicit off", "", Options{WarmCache: WarmCacheOff}, false},
-		{"refmodel always off", "", Options{RefModel: true, WarmCache: WarmCacheOn}, false},
+		{"default on", Options{}, true},
+		{"test hook off", Options{noWarmCache: true}, false},
+		{"refmodel always off", Options{RefModel: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Setenv("PATHFINDER_WARMCACHE", tc.env)
 			if got := tc.opts.warmOn(); got != tc.want {
 				t.Errorf("warmOn() = %v, want %v", got, tc.want)
 			}
@@ -157,7 +151,7 @@ func TestAESWarmCacheByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, noise := range []float64{0, 0.015} {
 		t.Run(fmt.Sprintf("noise=%v", noise), func(t *testing.T) {
-			off, err := AESLeakEval(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOff}, 4, noise)
+			off, err := AESLeakEval(ctx, Options{Parallelism: 1, noWarmCache: true}, 4, noise)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +159,7 @@ func TestAESWarmCacheByteIdentical(t *testing.T) {
 			for _, w := range []int{1, 4, 0} {
 				warm.reset()
 				for _, state := range []string{"cold", "warm"} {
-					rep, err := AESLeakEval(ctx, Options{Parallelism: w, WarmCache: WarmCacheOn}, 4, noise)
+					rep, err := AESLeakEval(ctx, Options{Parallelism: w}, 4, noise)
 					if err != nil {
 						t.Fatalf("parallelism %d (%s cache): %v", w, state, err)
 					}

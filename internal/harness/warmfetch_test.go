@@ -142,7 +142,7 @@ func TestAESFetchedWarmStateByteIdentical(t *testing.T) {
 	// model a network transfer.
 	warm.reset()
 	SetWarmFetch(nil)
-	want, err := AESLeakEval(ctx, Options{Parallelism: 1, WarmCache: WarmCacheOn}, 4, 0)
+	want, err := AESLeakEval(ctx, Options{Parallelism: 1}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAESFetchedWarmStateByteIdentical(t *testing.T) {
 		fetched.Add(1)
 		return dec, true
 	})
-	got, err := AESLeakEval(ctx, Options{Parallelism: 4, WarmCache: WarmCacheOn}, 4, 0)
+	got, err := AESLeakEval(ctx, Options{Parallelism: 4}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,16 +245,15 @@ func TestWarmCacheSingleflightMixedKeys(t *testing.T) {
 	}
 }
 
-// TestWarmCacheKillSwitchMidRun is satellite coverage: flipping the
-// PATHFINDER_WARMCACHE kill switch between runs changes only whether the
-// cache is consulted, never the report bytes.
+// TestWarmCacheKillSwitchMidRun is satellite coverage: turning the cache
+// off between runs changes only whether the cache is consulted, never the
+// report bytes.
 func TestWarmCacheKillSwitchMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
 	}
 	ctx := context.Background()
 	warm.reset()
-	t.Setenv("PATHFINDER_WARMCACHE", "")
 	on, err := AESLeakEval(ctx, Options{Parallelism: 2}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -264,20 +263,18 @@ func TestWarmCacheKillSwitchMidRun(t *testing.T) {
 		t.Fatal("cache-on run never consulted the cache")
 	}
 
-	t.Setenv("PATHFINDER_WARMCACHE", "off")
 	warm.reset()
-	off, err := AESLeakEval(ctx, Options{Parallelism: 2}, 3, 0)
+	off, err := AESLeakEval(ctx, Options{Parallelism: 2, noWarmCache: true}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := marshalReport(t, off); got != want {
-		t.Errorf("kill switch changed report bytes:\ngot:  %s\nwant: %s", got, want)
+		t.Errorf("cache-off run changed report bytes:\ngot:  %s\nwant: %s", got, want)
 	}
 	if hits, misses := warm.stats(); hits+misses != 0 {
-		t.Fatalf("killed cache was still consulted (%d hits, %d misses)", hits, misses)
+		t.Fatalf("disabled cache was still consulted (%d hits, %d misses)", hits, misses)
 	}
 
-	t.Setenv("PATHFINDER_WARMCACHE", "")
 	warm.reset()
 	back, err := AESLeakEval(ctx, Options{Parallelism: 2}, 3, 0)
 	if err != nil {

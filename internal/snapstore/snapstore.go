@@ -7,25 +7,13 @@
 // run — restore ~1 ms snapshots instead of re-running ~70 ms training
 // phases.
 //
-// Entries are stored either as full snapshot blobs or as delta chains:
-// grid cells that share a training program differ in a few PHT counters and
-// the PHR tail, so the harness saves each cell as a sparse XOR delta (the
-// wire package's PFWD frame) against the previous cell in its class. Chains
-// are depth-bounded at write time (maxChainDepth), with every chain rooted
-// in a full-blob anchor; resolution walks the chain under the store lock. A
-// corrupt or missing link makes the whole dependent entry unrecoverable, so
-// it is dropped and reported as a miss — never a wrong restore. Eviction
-// never orphans a chain: before a base is evicted its direct dependents are
-// rewritten as full anchors.
-//
 // Durability and integrity follow the journal's discipline: writes go to a
 // temp file and rename into place (a crash never leaves a half-written
 // entry under its final name), and every file carries an FNV-1a hash over
 // its payload that Load verifies before decoding — a torn or bit-flipped
 // file is deleted and reported as a miss, never restored. The embedded
 // snapshot section additionally self-verifies through the PFSN envelope's
-// content hash (and delta sections through the PFWD envelope's), so a
-// mis-addressed blob is structurally unrestorable.
+// content hash, so a mis-addressed blob is structurally unrestorable.
 //
 // The store is size-capped: Save evicts least-recently-used entries (file
 // mtime, which Load refreshes on every hit — the portable spelling of LRU
@@ -49,36 +37,15 @@ import (
 
 // File envelope. Bump the version on any layout change; decoders reject
 // other versions (the store is an exchange format between same-version
-// binaries, like the snapshot codec it embeds). Version 2 added the entry
-// kind, base key, chain depth, and rec-section kind for delta-chained
-// entries.
+// binaries, like the snapshot codec it embeds), and the Open scan deletes
+// them, so a daemon restarted over an older store retrains instead of
+// failing. Version 3 is magic, version, payload hash, then the payload:
+// key, snapshot hash, snapshot section, optional recovery section.
 const (
 	storeMagic   = "PFWS" // PathFinder Warm Store
-	storeVersion = 2
+	storeVersion = 3
 	fileExt      = ".pfws"
 	tmpPrefix    = "tmp-"
-
-	// Entry kinds: a full entry embeds a self-contained PFSN snapshot blob;
-	// a delta entry embeds a PFWD frame against the PFSN bytes of the entry
-	// named by its base key.
-	entryFull  = 0
-	entryDelta = 1
-
-	// Recovery-artifact section kinds: delta entries may store their rec
-	// bytes as a PFWD frame against the base entry's rec — phase-level
-	// checkpoints in one chain class recover the same control flow, so their
-	// artifacts are near-identical and the rec section would otherwise
-	// dominate a delta entry's footprint.
-	recNone  = 0 // entry carries no recovery artifact
-	recRaw   = 1 // rec section holds raw wire bytes
-	recDelta = 2 // rec section holds a PFWD frame against the base's rec
-
-	// maxChainDepth bounds how many delta links may sit between an entry and
-	// its full-blob anchor. SaveDelta refuses to extend a chain past this and
-	// writes the next full anchor instead, so resolving any entry reads at
-	// most maxChainDepth+1 files and a single torn file can orphan at most
-	// one bounded chain.
-	maxChainDepth = 8
 
 	// DefaultMaxBytes is the byte budget when Open is given none: a few
 	// hundred snapshots at the ~1 MiB each the cache-line array costs.
@@ -89,8 +56,7 @@ const (
 	maxFileBytes = 64 << 20
 
 	// headerProbe is how much of a file the Open scan reads to recover the
-	// key, snapshot hash, and chain linkage: envelope + two keys (keys are
-	// ~50 bytes).
+	// key and snapshot hash: envelope + key (keys are ~50 bytes).
 	headerProbe = 4096
 )
 
@@ -100,8 +66,6 @@ type Entry struct {
 	Key      string
 	SnapHash uint64 // content hash of the embedded snapshot
 	Size     int64
-	Delta    bool   // stored as a delta against Base
-	Base     string // base key for delta entries, "" for full anchors
 }
 
 type indexEntry struct {
@@ -109,9 +73,6 @@ type indexEntry struct {
 	size     int64
 	snapHash uint64
 	mtime    time.Time
-	kind     byte
-	baseKey  string
-	depth    uint8
 }
 
 // Store is the on-disk snapshot store. All methods are safe for concurrent
@@ -130,10 +91,9 @@ type Store struct {
 }
 
 // Open scans dir (creating it if needed) and indexes every resident entry.
-// Unparseable or torn files — including temp files from a crashed writer —
-// are removed. A delta entry whose base did not survive stays indexed; its
-// first Load fails base resolution and drops it. maxBytes <= 0 selects
-// DefaultMaxBytes.
+// Unparseable or torn files — including temp files from a crashed writer
+// and entries of another store version — are removed. maxBytes <= 0
+// selects DefaultMaxBytes.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("snapstore: empty directory")
@@ -159,7 +119,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		if !strings.HasSuffix(name, fileExt) || de.IsDir() {
 			continue
 		}
-		h, err := probeHeader(path)
+		key, snapHash, err := probeHeader(path)
 		if err != nil {
 			_ = os.Remove(path)
 			continue
@@ -168,10 +128,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		if err != nil {
 			continue
 		}
-		s.index[h.key] = &indexEntry{
-			path: path, size: info.Size(), snapHash: h.snapHash, mtime: info.ModTime(),
-			kind: h.kind, baseKey: h.baseKey, depth: h.depth,
-		}
+		s.index[key] = &indexEntry{path: path, size: info.Size(), snapHash: snapHash, mtime: info.ModTime()}
 		s.bytes += info.Size()
 	}
 	s.gcLocked()
@@ -181,50 +138,34 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-type header struct {
-	key      string
-	snapHash uint64
-	kind     byte
-	baseKey  string
-	depth    uint8
-}
-
-// probeHeader reads just enough of a file to recover its key, snapshot
-// hash, and chain linkage without decoding the body. The payload hash is
-// NOT verified here — Load does that on every read — so Open stays cheap on
-// big stores.
-func probeHeader(path string) (header, error) {
+// probeHeader reads just enough of a file to recover its key and snapshot
+// hash without decoding the body. The payload hash is NOT verified here —
+// Load does that on every read — so Open stays cheap on big stores.
+func probeHeader(path string) (key string, snapHash uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return header{}, err
+		return "", 0, err
 	}
 	defer f.Close()
 	buf := make([]byte, headerProbe)
 	n, _ := f.Read(buf)
 	if n < 4 || string(buf[:4]) != storeMagic {
-		return header{}, fmt.Errorf("snapstore: %s lacks %q magic", path, storeMagic)
+		return "", 0, fmt.Errorf("snapstore: %s lacks %q magic", path, storeMagic)
 	}
 	r := wire.NewReader(buf[4:n])
 	if v := r.U16(); v != storeVersion {
-		return header{}, fmt.Errorf("snapstore: %s version %d, this build speaks %d", path, v, storeVersion)
+		return "", 0, fmt.Errorf("snapstore: %s version %d, this build speaks %d", path, v, storeVersion)
 	}
 	_ = r.U64() // payload hash; verified by Load
-	var h header
-	h.key = r.String()
-	h.snapHash = r.U64()
-	h.kind = r.U8()
-	h.baseKey = r.String()
-	h.depth = r.U8()
+	key = r.String()
+	snapHash = r.U64()
 	if err := r.Err(); err != nil {
-		return header{}, err
+		return "", 0, err
 	}
-	if h.key == "" {
-		return header{}, fmt.Errorf("snapstore: %s has an empty key", path)
+	if key == "" {
+		return "", 0, fmt.Errorf("snapstore: %s has an empty key", path)
 	}
-	if h.kind != entryFull && h.kind != entryDelta {
-		return header{}, fmt.Errorf("snapstore: %s has unknown entry kind %d", path, h.kind)
-	}
-	return h, nil
+	return key, snapHash, nil
 }
 
 // fnv1a folds b FNV-1a style — the same hash the snapshot envelope uses.
@@ -243,31 +184,28 @@ func fileName(key string) string {
 	return fmt.Sprintf("%016x%s", fnv1a([]byte(key)), fileExt)
 }
 
-// bufPool recycles encode scratch — snapshot sections, delta frames, and
-// whole entry files — across saves and anchor rewrites, keeping the spill
-// path allocation-light (buffers are snapshot-sized, ~1 MiB).
+// bufPool recycles encode scratch — snapshot sections, recovery sections
+// and whole entry files — across saves, keeping the spill path
+// allocation-light (buffers are snapshot-sized, ~1 MiB).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { bufPool.Put(b) }
 
 // encodeEntry appends one rendered entry file to dst: envelope, then the
-// hashed payload. snapBlob is PFSN bytes for a full entry, a PFWD frame for
-// a delta entry; recBytes is raw wire bytes or a PFWD frame per recKind.
-func encodeEntry(dst []byte, key string, snapHash uint64, kind byte, baseKey string, depth uint8, snapBlob, recBytes []byte, recKind byte) []byte {
+// hashed payload. snapBlob is the PFSN snapshot encoding; recBytes is the
+// recovery artifact's wire encoding, nil when the entry carries none.
+func encodeEntry(dst []byte, key string, snapHash uint64, snapBlob, recBytes []byte) []byte {
 	w := wire.NewWriterBuf(dst)
 	w.Raw([]byte(storeMagic))
 	w.U16(storeVersion)
 	w.U64(0) // payload hash, patched below
 	w.String(key)
 	w.U64(snapHash)
-	w.U8(kind)
-	w.String(baseKey)
-	w.U8(depth)
-	w.U8(recKind)
 	w.U32(uint32(len(snapBlob)))
 	w.Raw(snapBlob)
-	if recKind != recNone {
+	w.Bool(recBytes != nil)
+	if recBytes != nil {
 		w.U32(uint32(len(recBytes)))
 		w.Raw(recBytes)
 	}
@@ -277,22 +215,17 @@ func encodeEntry(dst []byte, key string, snapHash uint64, kind byte, baseKey str
 }
 
 // parsedEntry is one verified entry file, sectioned. snapBlob and recBytes
-// alias the file data.
+// alias the file data; recBytes is nil when the entry carries no recovery
+// artifact.
 type parsedEntry struct {
-	key      string
 	snapHash uint64
-	kind     byte
-	baseKey  string
-	depth    uint8
-	recKind  byte
-	snapBlob []byte // PFSN (full) or PFWD (delta)
-	recBytes []byte // raw wire bytes (recRaw) or PFWD frame (recDelta)
+	snapBlob []byte
+	recBytes []byte
 }
 
-// parseEntry verifies the envelope and payload hash of one entry file and
-// splits it into sections. It validates structure — kind, linkage, depth
-// bound, section lengths — but does not resolve delta chains or decode the
-// snapshot; materialization does that.
+// parseEntry verifies the envelope, payload hash and stored key of one
+// entry file and splits it into sections. It does not decode the snapshot
+// or the recovery artifact; Load does that.
 func parseEntry(data []byte, wantKey string) (parsedEntry, error) {
 	var p parsedEntry
 	if len(data) < 4 || string(data[:4]) != storeMagic {
@@ -306,57 +239,33 @@ func parseEntry(data []byte, wantKey string) (parsedEntry, error) {
 	if got := fnv1a(r.Rest()); got != wantHash {
 		return p, fmt.Errorf("snapstore: payload hash %016x does not match envelope %016x (torn or corrupt file)", got, wantHash)
 	}
-	p.key = r.String()
-	if p.key != wantKey {
-		return p, fmt.Errorf("snapstore: blob holds key %q, want %q", p.key, wantKey)
+	if key := r.String(); key != wantKey {
+		return p, fmt.Errorf("snapstore: blob holds key %q, want %q", key, wantKey)
 	}
 	p.snapHash = r.U64()
-	p.kind = r.U8()
-	p.baseKey = r.String()
-	p.depth = r.U8()
-	p.recKind = r.U8()
-	snapLen := r.Len(maxFileBytes)
+	p.snapBlob = section(r)
+	if r.Bool() {
+		p.recBytes = section(r)
+	}
 	if err := r.Err(); err != nil {
 		return p, err
-	}
-	if r.Remaining() < snapLen {
-		return p, wire.ErrShort
-	}
-	p.snapBlob = r.Rest()[:snapLen]
-	r.Skip(snapLen)
-	if p.recKind != recNone {
-		recLen := r.Len(maxFileBytes)
-		if err := r.Err(); err != nil {
-			return p, err
-		}
-		if r.Remaining() < recLen {
-			return p, wire.ErrShort
-		}
-		p.recBytes = r.Rest()[:recLen]
-		r.Skip(recLen)
 	}
 	if r.Remaining() != 0 {
 		return p, fmt.Errorf("snapstore: blob has %d trailing bytes", r.Remaining())
 	}
-	switch p.kind {
-	case entryFull:
-		if p.baseKey != "" || p.depth != 0 {
-			return p, fmt.Errorf("snapstore: full entry %q carries chain linkage", p.key)
-		}
-		if p.recKind == recDelta {
-			return p, fmt.Errorf("snapstore: full entry %q has a rec delta but no base", p.key)
-		}
-	case entryDelta:
-		if p.baseKey == "" || p.baseKey == p.key || p.depth == 0 || p.depth > maxChainDepth {
-			return p, fmt.Errorf("snapstore: delta entry %q has invalid linkage (base %q, depth %d)", p.key, p.baseKey, p.depth)
-		}
-	default:
-		return p, fmt.Errorf("snapstore: unknown entry kind %d", p.kind)
-	}
-	if p.recKind > recDelta {
-		return p, fmt.Errorf("snapstore: unknown rec kind %d", p.recKind)
-	}
 	return p, nil
+}
+
+// section reads one length-prefixed section, aliasing r's input. A length
+// beyond the entry bound or the remaining bytes latches an error on r.
+func section(r *wire.Reader) []byte {
+	n := r.Len(maxFileBytes)
+	b := r.Rest()
+	r.Skip(n)
+	if r.Err() != nil {
+		return nil
+	}
+	return b[:n]
 }
 
 // readEntry reads and structurally verifies the file behind an index entry.
@@ -371,83 +280,34 @@ func (s *Store) readEntry(key string, e *indexEntry) (parsedEntry, error) {
 	return parseEntry(data, key)
 }
 
-// resolveBlobLocked materializes the PFSN snapshot section of the entry
-// stored under key, walking its delta chain down to the full anchor. budget
-// bounds the walk (chains are depth-bounded at write time, so a deeper one
-// is structurally corrupt). Any failure — missing entry, torn file, corrupt
-// or missing base — drops the unrecoverable entry and reports false, so a
-// broken chain degrades to a bounded set of misses.
-func (s *Store) resolveBlobLocked(key string, budget int) ([]byte, bool) {
-	if budget < 0 {
-		return nil, false
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, false
-	}
-	p, err := s.readEntry(key, e)
+// decodeEntry decodes a parsed entry's snapshot, checking it against the
+// header hash, and its recovery artifact, if any.
+func decodeEntry(p parsedEntry) (*cpu.Snapshot, *core.ExtendedResult, error) {
+	snap, err := cpu.DecodeSnapshot(p.snapBlob)
 	if err != nil {
-		s.dropLocked(key, e)
-		return nil, false
+		return nil, nil, err
 	}
-	if p.kind == entryFull {
-		return append([]byte(nil), p.snapBlob...), true
+	if snap.Hash() != p.snapHash {
+		return nil, nil, fmt.Errorf("snapstore: snapshot hash %016x does not match header %016x", snap.Hash(), p.snapHash)
 	}
-	base, ok := s.resolveBlobLocked(p.baseKey, budget-1)
-	if !ok {
-		s.dropLocked(key, e)
-		return nil, false
+	if p.recBytes == nil {
+		return snap, nil, nil
 	}
-	out, err := wire.DecodeDelta(base, p.snapBlob)
-	if err != nil {
-		s.dropLocked(key, e)
-		return nil, false
+	rr := wire.NewReader(p.recBytes)
+	rec := core.DecodeWireExtendedResult(rr)
+	if err := rr.Err(); err != nil {
+		return nil, nil, err
 	}
-	return out, true
+	if rr.Remaining() != 0 {
+		return nil, nil, fmt.Errorf("snapstore: recovery section has %d trailing bytes", rr.Remaining())
+	}
+	return snap, rec, nil
 }
 
-// resolveRecLocked materializes the raw recovery-artifact wire bytes of the
-// entry stored under key, walking rec deltas down the same chain the
-// snapshot section uses. An entry with no rec resolves to (nil, true); any
-// failure drops the unrecoverable entry and reports false, mirroring
-// resolveBlobLocked.
-func (s *Store) resolveRecLocked(key string, budget int) ([]byte, bool) {
-	if budget < 0 {
-		return nil, false
-	}
-	e, ok := s.index[key]
-	if !ok {
-		return nil, false
-	}
-	p, err := s.readEntry(key, e)
-	if err != nil {
-		s.dropLocked(key, e)
-		return nil, false
-	}
-	switch p.recKind {
-	case recNone:
-		return nil, true
-	case recRaw:
-		return append([]byte(nil), p.recBytes...), true
-	}
-	base, ok := s.resolveRecLocked(p.baseKey, budget-1)
-	if !ok || base == nil {
-		s.dropLocked(key, e)
-		return nil, false
-	}
-	out, err := wire.DecodeDelta(base, p.recBytes)
-	if err != nil {
-		s.dropLocked(key, e)
-		return nil, false
-	}
-	return out, true
-}
-
-// Load returns the entry stored under key, verifying the payload hash, the
-// delta chain (for chained entries), and the embedded snapshot's own
-// envelope before anything is restored. A corrupt file — or one whose chain
-// can no longer be resolved — is deleted and reported as a miss. A hit
-// refreshes the entry's recency stamp.
+// Load returns the entry stored under key, verifying the payload hash and
+// the embedded snapshot's own envelope before anything is restored. A
+// corrupt file is deleted and reported as a miss. A hit refreshes the
+// entry's recency stamp.
 func (s *Store) Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -456,11 +316,14 @@ func (s *Store) Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool) {
 		s.misses++
 		return nil, nil, false
 	}
-	snap, rec, err := s.materializeLocked(key, e)
+	p, err := s.readEntry(key, e)
+	var snap *cpu.Snapshot
+	var rec *core.ExtendedResult
+	if err == nil {
+		snap, rec, err = decodeEntry(p)
+	}
 	if err != nil {
-		if cur, ok := s.index[key]; ok && cur == e {
-			s.dropLocked(key, e)
-		}
+		s.dropLocked(key, e)
 		s.misses++
 		return nil, nil, false
 	}
@@ -472,70 +335,29 @@ func (s *Store) Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool) {
 	return snap, rec, true
 }
 
-// materializeLocked reads, chain-resolves, and fully decodes one entry.
-func (s *Store) materializeLocked(key string, e *indexEntry) (*cpu.Snapshot, *core.ExtendedResult, error) {
-	p, err := s.readEntry(key, e)
-	if err != nil {
-		return nil, nil, err
-	}
-	blob := p.snapBlob
-	if p.kind == entryDelta {
-		base, ok := s.resolveBlobLocked(p.baseKey, maxChainDepth)
-		if !ok {
-			return nil, nil, fmt.Errorf("snapstore: delta base %q unavailable", p.baseKey)
-		}
-		blob, err = wire.DecodeDelta(base, p.snapBlob)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	snap, err := cpu.DecodeSnapshot(blob)
-	if err != nil {
-		return nil, nil, err
-	}
-	if snap.Hash() != p.snapHash {
-		return nil, nil, fmt.Errorf("snapstore: snapshot hash %016x does not match header %016x", snap.Hash(), p.snapHash)
-	}
-	recBytes := p.recBytes
-	if p.recKind == recDelta {
-		baseRec, ok := s.resolveRecLocked(p.baseKey, maxChainDepth)
-		if !ok || baseRec == nil {
-			return nil, nil, fmt.Errorf("snapstore: rec delta base %q unavailable", p.baseKey)
-		}
-		recBytes, err = wire.DecodeDelta(baseRec, p.recBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var rec *core.ExtendedResult
-	if p.recKind != recNone {
-		rr := wire.NewReader(recBytes)
-		rec = core.DecodeWireExtendedResult(rr)
-		if err := rr.Err(); err != nil {
-			return nil, nil, err
-		}
-		if rr.Remaining() != 0 {
-			return nil, nil, fmt.Errorf("snapstore: recovery section has %d trailing bytes", rr.Remaining())
-		}
-	}
-	return snap, rec, nil
-}
-
 // LoadSnapshotBlob returns the PFSN-encoded snapshot section of the entry
-// stored under key — chain-resolved to self-contained bytes, after
-// verifying every file payload hash along the way. The cluster worker
-// serves peer snapshot fetches with this, no machine-decode round trip.
+// stored under key, after verifying the file's payload hash — the cluster
+// worker serves peer snapshot fetches with this, no machine-decode round
+// trip. A corrupt file is deleted and reported as absent.
 func (s *Store) LoadSnapshotBlob(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resolveBlobLocked(key, maxChainDepth)
+	e, ok := s.index[key]
+	if !ok {
+		return nil, false
+	}
+	p, err := s.readEntry(key, e)
+	if err != nil {
+		s.dropLocked(key, e)
+		return nil, false
+	}
+	return p.snapBlob, true
 }
 
-// Save persists an entry under key as a full snapshot blob. The store is
-// content-addressed — a key fully describes the machine state it names — so
-// the first write wins and a re-save of a resident key is a no-op. The
-// write is temp+rename atomic; over-budget entries are evicted
-// least-recently-used first.
+// Save persists an entry under key. The store is content-addressed — a key
+// fully describes the machine state it names — so the first write wins and
+// a re-save of a resident key is a no-op. The write is temp+rename atomic;
+// over-budget entries are evicted least-recently-used first.
 func (s *Store) Save(key string, snap *cpu.Snapshot, rec *core.ExtendedResult) {
 	if key == "" || snap == nil {
 		return
@@ -545,80 +367,6 @@ func (s *Store) Save(key string, snap *cpu.Snapshot, rec *core.ExtendedResult) {
 	if _, ok := s.index[key]; ok {
 		return
 	}
-	s.saveFullLocked(key, snap, rec)
-}
-
-// SaveDelta persists an entry under key as a delta against the resident
-// entry named baseKey, chaining warm grid cells that differ in a few PHT
-// counters into a fraction of their full-blob footprint. It degrades to a
-// full Save — the chain's next anchor — whenever the delta cannot or should
-// not be taken: base missing or unresolvable, chain at its depth bound,
-// self-reference, or a delta no smaller than the full blob. Implements the
-// harness DeltaSaver extension.
-func (s *Store) SaveDelta(key string, snap *cpu.Snapshot, rec *core.ExtendedResult, baseKey string) {
-	if key == "" || snap == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[key]; ok {
-		return
-	}
-	be, ok := s.index[baseKey]
-	if !ok || baseKey == key || int(be.depth) >= maxChainDepth {
-		s.saveFullLocked(key, snap, rec)
-		return
-	}
-	base, ok := s.resolveBlobLocked(baseKey, maxChainDepth)
-	if !ok {
-		s.saveFullLocked(key, snap, rec)
-		return
-	}
-	snapBuf := getBuf()
-	defer putBuf(snapBuf)
-	target, err := snap.AppendBinary((*snapBuf)[:0])
-	*snapBuf = target
-	if err != nil {
-		return
-	}
-	deltaBuf := getBuf()
-	defer putBuf(deltaBuf)
-	delta := wire.AppendDelta((*deltaBuf)[:0], base, target)
-	*deltaBuf = delta
-	recBytes, recKind, recBuf := encodeRec(rec)
-	if recBuf != nil {
-		defer putBuf(recBuf)
-	}
-	if len(delta) >= len(target) {
-		s.writeLocked(key, snap.Hash(), entryFull, "", 0, target, recBytes, recKind)
-		return
-	}
-	// The rec section rides the same chain: phase-level checkpoints in one
-	// class recover near-identical artifacts, so when the base carries a rec
-	// too this entry's is stored as a PFWD delta against it.
-	if recKind == recRaw {
-		baseRec, ok := s.resolveRecLocked(baseKey, maxChainDepth)
-		switch {
-		case ok && baseRec != nil:
-			rdBuf := getBuf()
-			defer putBuf(rdBuf)
-			rd := wire.AppendDelta((*rdBuf)[:0], baseRec, recBytes)
-			*rdBuf = rd
-			if len(rd) < len(recBytes) {
-				recBytes, recKind = rd, recDelta
-			}
-		case s.index[baseKey] == nil:
-			// Rec resolution dropped the base (torn file mid-chain); anchor
-			// instead of writing a delta against a key that just vanished.
-			s.writeLocked(key, snap.Hash(), entryFull, "", 0, target, recBytes, recKind)
-			return
-		}
-	}
-	s.writeLocked(key, snap.Hash(), entryDelta, baseKey, be.depth+1, delta, recBytes, recKind)
-}
-
-// saveFullLocked encodes snap and writes it as a full-blob entry.
-func (s *Store) saveFullLocked(key string, snap *cpu.Snapshot, rec *core.ExtendedResult) {
 	snapBuf := getBuf()
 	defer putBuf(snapBuf)
 	blob, err := snap.AppendBinary((*snapBuf)[:0])
@@ -626,46 +374,33 @@ func (s *Store) saveFullLocked(key string, snap *cpu.Snapshot, rec *core.Extende
 	if err != nil {
 		return
 	}
-	recBytes, recKind, recBuf := encodeRec(rec)
-	if recBuf != nil {
+	var recBytes []byte
+	if rec != nil {
+		recBuf := getBuf()
 		defer putBuf(recBuf)
+		rw := wire.NewWriterBuf((*recBuf)[:0])
+		rec.EncodeWire(rw)
+		recBytes = rw.Bytes()
+		*recBuf = recBytes
 	}
-	s.writeLocked(key, snap.Hash(), entryFull, "", 0, blob, recBytes, recKind)
-}
-
-// encodeRec renders a recovery artifact to wire bytes in a pooled buffer.
-// The caller returns recBuf to the pool when done with the bytes; a nil rec
-// yields (nil, recNone, nil).
-func encodeRec(rec *core.ExtendedResult) (recBytes []byte, recKind byte, recBuf *[]byte) {
-	if rec == nil {
-		return nil, recNone, nil
-	}
-	recBuf = getBuf()
-	rw := wire.NewWriterBuf((*recBuf)[:0])
-	rec.EncodeWire(rw)
-	recBytes = rw.Bytes()
-	*recBuf = recBytes
-	return recBytes, recRaw, recBuf
-}
-
-// writeLocked renders and atomically writes one new entry file, then
-// indexes it and enforces the byte budget.
-func (s *Store) writeLocked(key string, snapHash uint64, kind byte, baseKey string, depth uint8, snapBlob, recBytes []byte, recKind byte) {
 	fileBuf := getBuf()
 	defer putBuf(fileBuf)
-	data := encodeEntry((*fileBuf)[:0], key, snapHash, kind, baseKey, depth, snapBlob, recBytes, recKind)
+	data := encodeEntry((*fileBuf)[:0], key, snap.Hash(), blob, recBytes)
 	*fileBuf = data
 	path := filepath.Join(s.dir, fileName(key))
 	if err := s.writeFile(path, data); err != nil {
 		return
 	}
-	s.index[key] = &indexEntry{
-		path: path, size: int64(len(data)), snapHash: snapHash, mtime: time.Now(),
-		kind: kind, baseKey: baseKey, depth: depth,
-	}
+	s.index[key] = &indexEntry{path: path, size: int64(len(data)), snapHash: snap.Hash(), mtime: time.Now()}
 	s.bytes += int64(len(data))
 	s.puts++
 	s.gcLocked()
+}
+
+// SaveDelta persists an entry exactly as Save does; baseKey is ignored.
+// Every entry is a self-contained full blob.
+func (s *Store) SaveDelta(key string, snap *cpu.Snapshot, rec *core.ExtendedResult, baseKey string) {
+	s.Save(key, snap, rec)
 }
 
 // writeFile writes data to a temp file in the store directory and renames
@@ -699,9 +434,6 @@ func (s *Store) dropLocked(key string, e *indexEntry) {
 }
 
 // gcLocked evicts least-recently-used entries until the byte budget holds.
-// Before a base entry goes, its direct delta dependents are rewritten as
-// full anchors (grandchildren re-root on the promoted child), so eviction
-// never orphans a chain.
 func (s *Store) gcLocked() {
 	if s.bytes <= s.maxBytes {
 		return
@@ -724,90 +456,8 @@ func (s *Store) gcLocked() {
 		if s.bytes <= s.maxBytes {
 			break
 		}
-		if cur, ok := s.index[a.key]; !ok || cur != a.e {
-			continue // already dropped as part of a broken chain
-		}
-		s.promoteDependentsLocked(a.key)
 		s.dropLocked(a.key, a.e)
 		s.evicted++
-	}
-}
-
-// promoteDependentsLocked rewrites every entry delta-chained directly on
-// baseKey as a full-blob anchor, while the base is still resident to
-// resolve against. A dependent whose bytes cannot be materialized (torn
-// file, already-broken chain) is dropped instead — either way, nothing
-// references baseKey afterwards.
-func (s *Store) promoteDependentsLocked(baseKey string) {
-	var deps []string
-	for k, e := range s.index {
-		if e.kind == entryDelta && e.baseKey == baseKey {
-			deps = append(deps, k)
-		}
-	}
-	sort.Strings(deps)
-	for _, k := range deps {
-		e, ok := s.index[k]
-		if !ok {
-			continue
-		}
-		p, err := s.readEntry(k, e)
-		if err != nil {
-			s.dropLocked(k, e)
-			continue
-		}
-		base, ok := s.resolveBlobLocked(p.baseKey, maxChainDepth)
-		if !ok {
-			if cur, ok := s.index[k]; ok && cur == e {
-				s.dropLocked(k, e)
-			}
-			continue
-		}
-		blob, err := wire.DecodeDelta(base, p.snapBlob)
-		if err != nil {
-			s.dropLocked(k, e)
-			continue
-		}
-		// The anchor must be self-contained: a rec stored as a delta is
-		// materialized to raw bytes while its base is still resident.
-		recBytes, recKind := p.recBytes, p.recKind
-		if p.recKind == recDelta {
-			baseRec, ok := s.resolveRecLocked(p.baseKey, maxChainDepth)
-			if !ok || baseRec == nil {
-				if cur, ok := s.index[k]; ok && cur == e {
-					s.dropLocked(k, e)
-				}
-				continue
-			}
-			recBytes, err = wire.DecodeDelta(baseRec, p.recBytes)
-			if err != nil {
-				s.dropLocked(k, e)
-				continue
-			}
-			recKind = recRaw
-		}
-		s.rewriteAnchorLocked(k, e, p, blob, recBytes, recKind)
-	}
-}
-
-// rewriteAnchorLocked atomically replaces a delta entry's file with a
-// full-blob anchor holding the same snapshot and recovery bytes, updating
-// the index in place. On any write failure the entry is dropped — it was
-// about to lose its base.
-func (s *Store) rewriteAnchorLocked(key string, e *indexEntry, p parsedEntry, snapBlob, recBytes []byte, recKind byte) {
-	fileBuf := getBuf()
-	defer putBuf(fileBuf)
-	data := encodeEntry((*fileBuf)[:0], key, p.snapHash, entryFull, "", 0, snapBlob, recBytes, recKind)
-	*fileBuf = data
-	if err := s.writeFile(e.path, data); err != nil {
-		s.dropLocked(key, e)
-		return
-	}
-	s.bytes += int64(len(data)) - e.size
-	e.size = int64(len(data))
-	e.kind, e.baseKey, e.depth = entryFull, "", 0
-	if info, err := os.Stat(e.path); err == nil {
-		e.mtime = info.ModTime()
 	}
 }
 
@@ -817,10 +467,7 @@ func (s *Store) Entries() []Entry {
 	defer s.mu.Unlock()
 	out := make([]Entry, 0, len(s.index))
 	for k, e := range s.index {
-		out = append(out, Entry{
-			Key: k, SnapHash: e.snapHash, Size: e.size,
-			Delta: e.kind == entryDelta, Base: e.baseKey,
-		})
+		out = append(out, Entry{Key: k, SnapHash: e.snapHash, Size: e.size})
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +16,6 @@ import (
 	"pathfinder/internal/isa"
 	"pathfinder/internal/pathfinder"
 	"pathfinder/internal/phr"
-	"pathfinder/internal/wire"
 )
 
 // storeSnapshot builds a trained snapshot the way the warm cache does: run a
@@ -179,8 +179,9 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
-// TestStoreOpenSweepsDebris: torn temp files and unparseable entry files
-// must be removed by the Open scan, not indexed.
+// TestStoreOpenSweepsDebris: torn temp files, unparseable entry files and
+// entries of another store version must be removed by the Open scan, not
+// indexed.
 func TestStoreOpenSweepsDebris(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -202,6 +203,15 @@ func TestStoreOpenSweepsDebris(t *testing.T) {
 	if err := os.WriteFile(trunc, good[:5], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// An entry written by an older store version: Open must drop it, so a
+	// daemon restarted over an old data directory retrains instead of
+	// failing.
+	old := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(old[4:6], 2)
+	stale := filepath.Join(dir, "00000000000000c2"+fileExt)
+	if err := os.WriteFile(stale, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := Open(dir, 0)
 	if err != nil {
@@ -210,7 +220,7 @@ func TestStoreOpenSweepsDebris(t *testing.T) {
 	if _, _, _, _, _, n := s2.Stats(); n != 1 {
 		t.Fatalf("reopened store holds %d entries, want 1", n)
 	}
-	for _, p := range []string{torn, trunc} {
+	for _, p := range []string{torn, trunc, stale} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s survived the open sweep", p)
 		}
@@ -311,7 +321,7 @@ func FuzzStoreDecode(f *testing.F) {
 	f.Add(flip)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := parseEntry(data, "fuzz-key")
-		if err != nil || p.kind != entryFull {
+		if err != nil {
 			return
 		}
 		snap, err := cpu.DecodeSnapshot(p.snapBlob)
@@ -321,198 +331,8 @@ func FuzzStoreDecode(f *testing.F) {
 	})
 }
 
-// FuzzDeltaStoreDecode: the delta-entry decode surface — parse, chain
-// resolution against a fixed base, PFWD application, snapshot decode — must
-// never panic on arbitrary bytes, and anything that survives every
-// verification layer must be a structurally valid snapshot.
-func FuzzDeltaStoreDecode(f *testing.F) {
-	dir := f.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	s.Save("base-key", storeSnapshot(f, 19), nil)
-	s.SaveDelta("delta-key", storeSnapshot(f, 20), storeRec(f), "base-key")
-	if e := s.index["delta-key"]; e == nil || e.kind != entryDelta {
-		f.Fatal("seed entry was not stored as a delta")
-	}
-	baseBlob, ok := s.LoadSnapshotBlob("base-key")
-	if !ok {
-		f.Fatal("base blob missing")
-	}
-	valid, err := os.ReadFile(filepath.Join(dir, fileName("delta-key")))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	for _, n := range []int{0, 6, 14, 40, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:n]...))
-	}
-	flip := append([]byte(nil), valid...)
-	flip[len(flip)/3] ^= 0x01
-	f.Add(flip)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := parseEntry(data, "delta-key")
-		if err != nil || p.kind != entryDelta {
-			return
-		}
-		out, err := wire.DecodeDelta(baseBlob, p.snapBlob)
-		if err != nil {
-			return
-		}
-		snap, err := cpu.DecodeSnapshot(out)
-		if err == nil && snap == nil {
-			t.Fatal("nil snapshot decoded without error")
-		}
-	})
-}
-
-// TestStoreDeltaChainDepthBound: chained SaveDelta must write delta entries
-// up to the depth bound, then break the chain with a full anchor and chain
-// on from it — and every entry must load back bit-exact regardless of kind.
-func TestStoreDeltaChainDepthBound(t *testing.T) {
-	s, err := Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := maxChainDepth + 3
-	snaps := make([]*cpu.Snapshot, n)
-	keys := make([]string, n)
-	for i := range snaps {
-		snaps[i] = storeSnapshot(t, 100+int64(i))
-		keys[i] = fmt.Sprintf("chain-%d", i)
-	}
-	s.Save(keys[0], snaps[0], nil)
-	for i := 1; i < n; i++ {
-		s.SaveDelta(keys[i], snaps[i], nil, keys[i-1])
-	}
-	for i := 0; i < n; i++ {
-		e := s.index[keys[i]]
-		if e == nil {
-			t.Fatalf("entry %d missing", i)
-		}
-		wantDelta := i != 0 && i != maxChainDepth+1
-		if gotDelta := e.kind == entryDelta; gotDelta != wantDelta {
-			t.Fatalf("entry %d kind=%d depth=%d, wantDelta=%v", i, e.kind, e.depth, wantDelta)
-		}
-		if wantDelta && e.baseKey != keys[i-1] {
-			t.Fatalf("entry %d chained on %q, want %q", i, e.baseKey, keys[i-1])
-		}
-	}
-	// Full anchors must be a small minority of the chain's on-disk bytes:
-	// the deltas are sparse-XOR frames over near-identical snapshots.
-	var fullBytes, deltaBytes int64
-	for _, e := range s.Entries() {
-		if e.Delta {
-			deltaBytes += e.Size
-		} else {
-			fullBytes += e.Size
-		}
-	}
-	if deltaBytes*5 > fullBytes {
-		t.Fatalf("delta entries cost %d bytes against %d full-anchor bytes — not sparse", deltaBytes, fullBytes)
-	}
-	for i := 0; i < n; i++ {
-		got, _, ok := s.Load(keys[i])
-		if !ok || got.Hash() != snaps[i].Hash() {
-			t.Fatalf("entry %d load: ok=%v", i, ok)
-		}
-	}
-}
-
-// TestStoreDeltaCorruptBaseIsAMiss: a bit flip in a chain's base must make
-// every dependent load a miss — the broken link and its dependents are
-// dropped, never mis-restored.
-func TestStoreDeltaCorruptBaseIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Save("base", storeSnapshot(t, 31), nil)
-	s.SaveDelta("child", storeSnapshot(t, 32), nil, "base")
-	if e := s.index["child"]; e == nil || e.kind != entryDelta {
-		t.Fatal("child was not stored as a delta")
-	}
-	path := filepath.Join(dir, fileName("base"))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-8] ^= 0x20
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Load("child"); ok {
-		t.Fatal("dependent of a corrupt base restored")
-	}
-	if _, _, _, _, _, n := s.Stats(); n != 0 {
-		t.Fatalf("%d entries survive a broken chain, want 0", n)
-	}
-}
-
-// TestStoreAnchorPromotionOnBaseEviction: evicting a chain's base must
-// first rewrite its direct dependents as full anchors — durably, so a
-// reopen still resolves them — while deeper links stay deltas on the
-// promoted entry.
-func TestStoreAnchorPromotionOnBaseEviction(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := storeSnapshot(t, 41)
-	child := storeSnapshot(t, 42)
-	grand := storeSnapshot(t, 43)
-	s.Save("base", base, nil)
-	s.SaveDelta("child", child, storeRec(t), "base")
-	s.SaveDelta("grand", grand, nil, "child")
-	if e := s.index["child"]; e == nil || e.kind != entryDelta {
-		t.Fatal("child was not stored as a delta")
-	}
-
-	// Age the base to the LRU position and shrink the budget so gc must
-	// evict exactly it.
-	s.mu.Lock()
-	old := time.Now().Add(-time.Hour)
-	be := s.index["base"]
-	if err := os.Chtimes(be.path, old, old); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
-	}
-	be.mtime = old
-	s.maxBytes = s.bytes - 1
-	s.gcLocked()
-	s.mu.Unlock()
-
-	if _, ok := s.index["base"]; ok {
-		t.Fatal("base survived the eviction")
-	}
-	if e := s.index["child"]; e == nil || e.kind != entryFull || e.baseKey != "" || e.depth != 0 {
-		t.Fatalf("child not promoted to a full anchor: %+v", e)
-	}
-	if e := s.index["grand"]; e == nil || e.kind != entryDelta || e.baseKey != "child" {
-		t.Fatalf("grandchild lost its chain: %+v", e)
-	}
-	gotChild, rec, ok := s.Load("child")
-	if !ok || gotChild.Hash() != child.Hash() || rec == nil {
-		t.Fatalf("promoted child load: ok=%v rec=%v", ok, rec)
-	}
-	if got, _, ok := s.Load("grand"); !ok || got.Hash() != grand.Hash() {
-		t.Fatalf("grandchild load after promotion: ok=%v", ok)
-	}
-
-	s2, err := Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _, ok := s2.Load("grand"); !ok || got.Hash() != grand.Hash() {
-		t.Fatalf("grandchild load after reopen: ok=%v", ok)
-	}
-}
-
-// TestStoreConcurrentSaveLoadEvict races Save, SaveDelta, and Load of one
-// hot key against budget-forced evictions from fillers — the store must
+// TestStoreConcurrentSaveLoadEvict races Save and Load of two hot keys
+// against budget-forced evictions from fillers — the store must
 // never panic, never corrupt counters, and every hit must return the right
 // snapshot (run under -race in CI).
 func TestStoreConcurrentSaveLoadEvict(t *testing.T) {
@@ -533,11 +353,11 @@ func TestStoreConcurrentSaveLoadEvict(t *testing.T) {
 	const iters = 40
 	var wg sync.WaitGroup
 	wg.Add(3)
-	go func() { // re-save the hot key (full and delta-chained on a filler)
+	go func() { // re-save the hot keys
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			s.Save("hot", hot, nil)
-			s.SaveDelta("hot-alt", alt, nil, "hot")
+			s.Save("hot-alt", alt, nil)
 		}
 	}()
 	go func() { // thrash the budget so gc keeps evicting
@@ -577,7 +397,7 @@ func TestSaveEncodeZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		snapBuf = blob
-		fileBuf = encodeEntry(fileBuf[:0], "k", snap.Hash(), entryFull, "", 0, blob, nil, recNone)
+		fileBuf = encodeEntry(fileBuf[:0], "k", snap.Hash(), blob, nil)
 	}
 	run()
 	if n := testing.AllocsPerRun(20, run); n != 0 {
