@@ -154,7 +154,7 @@ func TestEmitClusterBenchArtifact(t *testing.T) {
 	n := startWorkerNode(t, csrv.URL, "bench-cold", service.NewRegistry(), service.Config{Workers: 2})
 	waitWorkers(t, csrv.URL, 1)
 	timeJob := func(seed int64) time.Duration {
-		var v JobView
+		var v service.JobView
 		start := time.Now()
 		postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 			Experiment: "aes", Params: service.Params{Trials: 8, Noise: -1, Seed: seed},

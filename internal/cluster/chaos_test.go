@@ -243,7 +243,7 @@ func TestChaosPartitionLeaseReassignment(t *testing.T) {
 	startChaosNode(t, net, csrv.URL, "b-live", gateReg(false), WorkerConfig{})
 	waitWorkers(t, csrv.URL, 2)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "gate", Params: service.Params{Seed: 7},
 	}, &v)
@@ -287,7 +287,7 @@ func TestChaosPartitionLeaseReassignment(t *testing.T) {
 
 	// Exactly one terminal result mutated the job, and the credited worker
 	// did not change under the late report.
-	var final JobView
+	var final service.JobView
 	getJSON(t, csrv.URL+"/v1/jobs/"+v.ID, &final)
 	if final.State != service.StateDone || final.Worker != "b-live" {
 		t.Errorf("after heal: state %s on %q, want done on b-live", final.State, final.Worker)
@@ -551,7 +551,7 @@ func TestChaosDegradedModeConvergence(t *testing.T) {
 	recovered := false
 	deadline := time.Now().Add(15 * time.Second)
 	for !recovered && time.Now().Before(deadline) {
-		var v JobView
+		var v service.JobView
 		postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 			Experiment: "ctest", Params: service.Params{Arch: "alderlake", Seed: 99},
 		}, &v)

@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -172,18 +175,18 @@ func waitReport(t *testing.T, base, batch string) []byte {
 }
 
 // waitJobDone polls one job until terminal, returning its final view.
-func waitJobDone(t *testing.T, base, id string) JobView {
+func waitJobDone(t *testing.T, base, id string) service.JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		var v JobView
-		if st := getJSON(t, base+"/v1/jobs/"+id, &v); st == http.StatusOK && terminal(v.State) {
+		var v service.JobView
+		if st := getJSON(t, base+"/v1/jobs/"+id, &v); st == http.StatusOK && v.State.Terminal() {
 			return v
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
-	return JobView{}
+	return service.JobView{}
 }
 
 // waitWorkers polls /cluster/status until n workers have joined.
@@ -282,7 +285,7 @@ func TestClusterAffinityRouting(t *testing.T) {
 	}
 	waitWorkers(t, csrv.URL, 3)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "ctest", Params: service.Params{Arch: "alderlake", Seed: 1},
 	}, &v)
@@ -402,7 +405,7 @@ func TestClusterLeaseReassignment(t *testing.T) {
 	startWorkerNode(t, csrv.URL, "b-live", gateReg(false), service.Config{})
 	waitWorkers(t, csrv.URL, 2)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "gate", Params: service.Params{Seed: 7},
 	}, &v)
@@ -447,7 +450,7 @@ func TestClusterSnapshotExchange(t *testing.T) {
 	n := startWorkerNode(t, csrv.URL, "w0", service.NewRegistry(), service.Config{})
 	waitWorkers(t, csrv.URL, 1)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "aes", Params: service.Params{Trials: 2, Noise: -1, Seed: 201},
 	}, &v)
@@ -513,7 +516,7 @@ func TestClusterAESAffinitySkipsTraining(t *testing.T) {
 	startWorkerNode(t, csrv.URL, "w1", service.NewRegistry(), service.Config{})
 	waitWorkers(t, csrv.URL, 2)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "aes", Params: service.Params{Trials: 2, Noise: -1, Seed: 301},
 	}, &v)
@@ -550,7 +553,8 @@ func TestClusterAESAffinitySkipsTraining(t *testing.T) {
 
 // TestCoordinatorJournalRecovery: pending jobs submitted before a
 // coordinator restart are replayed, re-dispatched and complete under the
-// new incarnation, with ID sequences resuming past the replayed maximum.
+// new incarnation, with ID sequences resuming past the replayed maximum; a
+// job that finished before the restart keeps its result bytes.
 func TestCoordinatorJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 
@@ -558,6 +562,15 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A worker's result push finishes one job before the restart.
+	early, err := c1.Submit("ctest", service.Params{Seed: 7}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := json.RawMessage(`{"arch":"alderlake","seed":7,"value":226}`)
+	c1.handleResults(ResultsPush{Worker: "w0", Results: []JobResult{{
+		ID: early.ID, State: service.StateDone, Result: result, Stats: &cpu.Counters{Runs: 1}, Attempts: 1,
+	}}})
 	batch, views, err := c1.SubmitSweep("ctest", service.Params{}, []string{"alderlake"}, []int64{1, 2, 3}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -572,6 +585,14 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	cancel()
 
 	c2, csrv := startCoord(t, CoordinatorConfig{Registry: ctestRegistry(), DataDir: dir})
+	got, err := c2.Get(early.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != service.StateDone || !bytes.Equal(got.Result, result) || got.SimStats == nil || got.SimStats.Runs != 1 {
+		t.Errorf("finished job across restart = state %s result %s stats %v, want done %s runs=1",
+			got.State, got.Result, got.SimStats, result)
+	}
 	startWorkerNode(t, csrv.URL, "w0", ctestRegistry(), service.Config{})
 	report := waitReport(t, csrv.URL, batch)
 	var rep service.Report
@@ -586,10 +607,98 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range views {
+	for _, old := range append(views, early) {
 		if v.ID == old.ID {
 			t.Fatalf("restarted coordinator reused job ID %s", v.ID)
 		}
+	}
+}
+
+// TestCoordinatorCompactsOversizedJournal: a coordinator restarted on a
+// journal past the 4 MiB compaction trigger rewrites it smaller and replays
+// the same job table — finished jobs intact, queued jobs queued, the ID
+// sequence resuming.
+func TestCoordinatorCompactsOversizedJournal(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := NewCoordinator(CoordinatorConfig{Registry: ctestRegistry(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, views, err := c1.SubmitSweep("ctest", service.Params{}, []string{"alderlake", "skylake"}, []int64{1, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.handleResults(ResultsPush{Worker: "w0", Results: []JobResult{
+		{ID: views[0].ID, State: service.StateDone, Result: json.RawMessage(`{"value":1}`), Stats: &cpu.Counters{Runs: 1}},
+		{ID: views[1].ID, State: service.StateDone, Result: json.RawMessage(`{"value":2}`)},
+	}})
+	if _, err := c1.Cancel(views[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	want := c1.List(service.ListFilter{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := c1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+
+	// Pad the journal past the trigger with assignment chatter, which replay
+	// treats as history only.
+	path := filepath.Join(dir, "coordinator.jsonl")
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := fmt.Sprintf(`{"op":"requeue","job":%q,"time":"2026-10-17T01:01:27.412901352Z","worker":"w0","reason":"lease expired"}`+"\n", views[3].ID)
+	_, err = f.WriteString(strings.Repeat(pad, (4<<20)/len(pad)+1))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4<<20 {
+		t.Fatalf("padded journal is %d bytes, below the trigger", fi.Size())
+	}
+
+	c2, err := NewCoordinator(CoordinatorConfig{Registry: ctestRegistry(), DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = c2.Shutdown(ctx)
+	})
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() >= 64<<10 {
+		t.Errorf("restart did not compact the journal: %d -> %d bytes", fi.Size(), after.Size())
+	}
+	got := c2.List(service.ListFilter{})
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.ID != w.ID || g.Experiment != w.Experiment || !reflect.DeepEqual(g.Params, w.Params) || g.Batch != w.Batch ||
+			g.State != w.State || !bytes.Equal(g.Result, w.Result) || g.Error != w.Error ||
+			!reflect.DeepEqual(g.SimStats, w.SimStats) {
+			t.Errorf("job %d across compacting restart:\ngot:  %+v\nwant: %+v", i, g, w)
+		}
+	}
+	v, err := c2.Submit("ctest", service.Params{Seed: 9}, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID != "cjob-000006" {
+		t.Errorf("post-compaction submit got %s, want cjob-000006", v.ID)
 	}
 }
 
@@ -631,7 +740,7 @@ func TestClusterCancelPropagates(t *testing.T) {
 	startWorkerNode(t, csrv.URL, "w0", gateReg(true), service.Config{})
 	waitWorkers(t, csrv.URL, 1)
 
-	var v JobView
+	var v service.JobView
 	postJSON(t, csrv.URL+"/v1/jobs", service.SubmitRequest{
 		Experiment: "gate", Params: service.Params{Seed: 3},
 	}, &v)
@@ -639,7 +748,7 @@ func TestClusterCancelPropagates(t *testing.T) {
 	// Wait until it is running on the worker, then cancel at the coordinator.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var cur JobView
+		var cur service.JobView
 		getJSON(t, csrv.URL+"/v1/jobs/"+v.ID, &cur)
 		if cur.State == service.StateRunning {
 			break

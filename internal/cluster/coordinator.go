@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -114,8 +115,8 @@ type clusterJob struct {
 }
 
 // view projects the job; caller holds Coordinator.mu.
-func (j *clusterJob) view() JobView {
-	v := JobView{JobView: service.JobView{
+func (j *clusterJob) view() service.JobView {
+	v := service.JobView{
 		ID:         j.id,
 		Experiment: j.experiment,
 		Params:     j.params,
@@ -125,7 +126,8 @@ func (j *clusterJob) view() JobView {
 		Attempts:   j.workerAttempts,
 		Result:     j.result,
 		Error:      j.errMsg,
-	}, Worker: j.assignedTo}
+		Worker:     j.assignedTo,
+	}
 	if !j.started.IsZero() {
 		t := j.started
 		v.Started = &t
@@ -153,7 +155,7 @@ type Coordinator struct {
 	now     func() time.Time
 	client  *http.Client
 	metrics *coordMetrics
-	journal *coordJournal // nil without DataDir
+	journal *service.Journal // nil without DataDir
 	peers   *service.KeyedBreaker
 
 	mu            sync.Mutex
@@ -223,7 +225,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		log:      cfg.Logger,
 		now:      cfg.Clock,
 		client:   cfg.HTTPClient,
-		metrics:  newCoordMetrics(),
 		peers:    service.NewKeyedBreaker("peer", cfg.PeerBreakerThreshold, cfg.PeerBreakerCooldown, cfg.Clock),
 		jobs:     make(map[string]*clusterJob),
 		workers:  make(map[string]*workerState),
@@ -231,40 +232,39 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
+	c.metrics = newCoordMetrics(c)
 
+	// Journal replay restores terminal jobs intact and re-queues the rest
+	// unassigned, with a fresh assignment budget: a crash invalidates every
+	// lease. Workers keep resending unacked results across the restart, so
+	// jobs that finished during the outage converge without re-execution.
 	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("cluster: creating data dir: %w", err)
-		}
-		path := filepath.Join(cfg.DataDir, "coordinator.jsonl")
-		replayed, maxSeq, err := replayCoordJournal(path, cfg.Logger)
+		journal, replayed, maxSeq, err := service.OpenJournal(filepath.Join(cfg.DataDir, "coordinator.jsonl"), cfg.Logger)
 		if err != nil {
 			return nil, err
 		}
-		if c.journal, err = openCoordJournal(path); err != nil {
-			return nil, err
-		}
+		c.journal = journal
 		c.seq = maxSeq
 		recovered := 0
 		for _, r := range replayed {
 			j := &clusterJob{
-				id:         r.id,
-				experiment: r.experiment,
-				params:     r.params,
-				batch:      r.batch,
-				timeout:    r.timeout,
-				submitted:  r.submitted,
+				id:         r.ID,
+				experiment: r.Experiment,
+				params:     r.Params,
+				batch:      r.Batch,
+				timeout:    r.Timeout,
+				submitted:  r.Submitted,
 			}
 			if j.timeout <= 0 {
 				j.timeout = cfg.DefaultTimeout
 			}
-			if r.finished {
-				j.state = r.finState
-				j.errMsg = r.finErr
-				j.result = r.result
-				j.stats = r.stats
-				j.finished = r.finTime
-				j.started = r.finTime
+			if r.Finished {
+				j.state = r.State
+				j.errMsg = r.Error
+				j.result = r.Result
+				j.stats = r.Stats
+				j.finished = r.FinishedAt
+				j.started = r.FinishedAt
 			} else {
 				j.state = service.StatePending
 				c.pending = append(c.pending, j.id)
@@ -273,7 +273,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			c.jobs[j.id] = j
 			c.order = append(c.order, j.id)
 		}
-		c.metrics.add(func(m *coordMetrics) { m.jobsRecovered += uint64(recovered) })
+		c.metrics.recovered.Add(uint64(recovered))
 		c.log.Info("coordinator journal replayed", "jobs", len(replayed), "recovered", recovered)
 	}
 
@@ -307,10 +307,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		<-done
 	}
-	if c.journal != nil {
-		if cerr := c.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := c.journal.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -340,22 +338,15 @@ func (c *Coordinator) loop() {
 	}
 }
 
-// appendJournal logs rather than fails, mirroring the service journal.
-func (c *Coordinator) appendJournal(rec coordRecord) {
-	if c.journal == nil {
-		return
-	}
-	if err := c.journal.append(rec); err != nil {
-		c.log.Warn("coordinator journal append failed", "op", rec.Op, "job", rec.Job, "err", err)
-	}
-}
+// Registry is the experiment registry submissions validate against.
+func (c *Coordinator) Registry() *service.Registry { return c.reg }
 
 // Submit validates against the registry, records the job and queues it for
 // assignment. Mirrors service.Service.Submit semantics.
-func (c *Coordinator) Submit(experiment string, p service.Params, batch string, timeout time.Duration) (JobView, error) {
+func (c *Coordinator) Submit(experiment string, p service.Params, batch string, timeout time.Duration) (service.JobView, error) {
 	resolved, err := c.reg.Resolve(experiment, p)
 	if err != nil {
-		return JobView{}, err
+		return service.JobView{}, err
 	}
 	if timeout <= 0 {
 		timeout = c.cfg.DefaultTimeout
@@ -364,11 +355,11 @@ func (c *Coordinator) Submit(experiment string, p service.Params, batch string, 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return JobView{}, service.ErrDraining
+		return service.JobView{}, service.ErrDraining
 	}
 	if len(c.pending) >= c.cfg.MaxPending {
 		c.mu.Unlock()
-		return JobView{}, service.ErrQueueFull
+		return service.JobView{}, service.ErrQueueFull
 	}
 	c.seq++
 	j := &clusterJob{
@@ -383,15 +374,15 @@ func (c *Coordinator) Submit(experiment string, p service.Params, batch string, 
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.pending = append(c.pending, j.id)
-	c.appendJournal(coordRecord{
-		Op: copSubmit, Job: j.id, Time: j.submitted,
+	c.journal.Append(service.JournalRecord{
+		Op: service.OpSubmit, Job: j.id, Time: j.submitted,
 		Experiment: experiment, Params: &resolved, Batch: batch,
 		TimeoutMS: timeout.Milliseconds(),
 	})
 	v := j.view()
 	c.mu.Unlock()
 
-	c.metrics.add(func(m *coordMetrics) { m.submitted++ })
+	c.metrics.submitted.Add(1)
 	c.kickDispatch()
 	c.log.Info("cluster job submitted", "job", j.id, "experiment", experiment, "batch", batch)
 	return v, nil
@@ -399,7 +390,7 @@ func (c *Coordinator) Submit(experiment string, p service.Params, batch string, 
 
 // SubmitSweep expands archs × seeds over base params into one batch,
 // mirroring service.Service.SubmitSweep.
-func (c *Coordinator) SubmitSweep(experiment string, base service.Params, archs []string, seeds []int64, timeout time.Duration) (string, []JobView, error) {
+func (c *Coordinator) SubmitSweep(experiment string, base service.Params, archs []string, seeds []int64, timeout time.Duration) (string, []service.JobView, error) {
 	if len(archs) == 0 {
 		archs = []string{base.Arch}
 	}
@@ -418,12 +409,8 @@ func (c *Coordinator) SubmitSweep(experiment string, base service.Params, archs 
 		return "", nil, fmt.Errorf("%w: sweep of %d jobs exceeds pending bound %d", service.ErrQueueFull, n, c.cfg.MaxPending)
 	}
 
-	c.mu.Lock()
-	c.seq++
-	batch := fmt.Sprintf("cbatch-%06d", c.seq)
-	c.mu.Unlock()
-
-	views := make([]JobView, 0, len(archs)*len(seeds))
+	batch := c.NewBatch()
+	views := make([]service.JobView, 0, len(archs)*len(seeds))
 	for _, a := range archs {
 		for _, seed := range seeds {
 			p := base
@@ -439,22 +426,30 @@ func (c *Coordinator) SubmitSweep(experiment string, base service.Params, archs 
 	return batch, views, nil
 }
 
+// NewBatch allocates a batch ID from the job sequence.
+func (c *Coordinator) NewBatch() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	return fmt.Sprintf("cbatch-%06d", c.seq)
+}
+
 // Get returns one job's view.
-func (c *Coordinator) Get(id string) (JobView, error) {
+func (c *Coordinator) Get(id string) (service.JobView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
-		return JobView{}, service.ErrNotFound
+		return service.JobView{}, service.ErrNotFound
 	}
 	return j.view(), nil
 }
 
 // List returns matching jobs in submission order.
-func (c *Coordinator) List(f service.ListFilter) []JobView {
+func (c *Coordinator) List(f service.ListFilter) []service.JobView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]JobView, 0, len(c.order))
+	out := make([]service.JobView, 0, len(c.order))
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if f.State != "" && j.state != f.State {
@@ -474,14 +469,14 @@ func (c *Coordinator) List(f service.ListFilter) []JobView {
 // Cancel aborts a job: an unassigned pending job finalizes immediately; an
 // assigned job is cancelled on its worker through the next heartbeat reply
 // and finalizes when the worker reports the cancelled result.
-func (c *Coordinator) Cancel(id string) (JobView, error) {
+func (c *Coordinator) Cancel(id string) (service.JobView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
-		return JobView{}, service.ErrNotFound
+		return service.JobView{}, service.ErrNotFound
 	}
-	if terminal(j.state) {
+	if j.state.Terminal() {
 		return j.view(), service.ErrFinished
 	}
 	j.cancelRequested = true
@@ -505,17 +500,10 @@ func (c *Coordinator) finalizeLocked(j *clusterJob, st service.State, errMsg str
 	// assignedTo is kept: a terminal job's view shows which worker ran it
 	// (the scheduler ignores terminal jobs, so the stale lease is inert).
 	j.leaseExpiry = time.Time{}
-	c.appendJournal(coordRecord{
-		Op: copFinish, Job: j.id, Time: j.finished,
-		State: st, Error: errMsg, Result: result, Stats: statsPtr(stats),
+	c.journal.Append(service.JournalRecord{
+		Op: service.OpFinish, Job: j.id, Time: j.finished,
+		State: st, Error: errMsg, Result: result, Stats: stats,
 	})
-}
-
-func statsPtr(s cpu.Counters) *cpu.Counters {
-	if s == (cpu.Counters{}) {
-		return nil
-	}
-	return &s
 }
 
 // affinityGroup is the warm-routing key: jobs in the same group share
@@ -554,7 +542,7 @@ func (c *Coordinator) expireLeases() {
 			continue
 		}
 		for id := range w.inflight {
-			if j := c.jobs[id]; j != nil && !terminal(j.state) && j.assignedTo == name {
+			if j := c.jobs[id]; j != nil && !j.state.Terminal() && j.assignedTo == name {
 				c.requeueLocked(j, fmt.Sprintf("worker %s expired", name))
 			}
 		}
@@ -567,7 +555,7 @@ func (c *Coordinator) expireLeases() {
 		if j.assignedTo == degradedWorker {
 			continue
 		}
-		if j.assignedTo != "" && !terminal(j.state) && now.After(j.leaseExpiry) {
+		if j.assignedTo != "" && !j.state.Terminal() && now.After(j.leaseExpiry) {
 			c.requeueLocked(j, "lease expired")
 		}
 	}
@@ -592,8 +580,8 @@ func (c *Coordinator) requeueLocked(j *clusterJob, reason string) {
 	j.started = time.Time{}
 	// Requeue at the front: a reassigned job is older than anything pending.
 	c.pending = append([]string{j.id}, c.pending...)
-	c.appendJournal(coordRecord{Op: copRequeue, Job: j.id, Time: c.now(), Worker: worker, Reason: reason})
-	c.metrics.add(func(m *coordMetrics) { m.reassigned++ })
+	c.journal.Append(service.JournalRecord{Op: service.OpRequeue, Job: j.id, Time: c.now(), Worker: worker, Reason: reason})
+	c.metrics.reassigned.Add(1)
 	c.log.Warn("cluster job requeued", "job", j.id, "worker", worker, "reason", reason, "assigns", j.assigns)
 }
 
@@ -622,7 +610,7 @@ func (c *Coordinator) dispatch() {
 	var remaining []string
 	for _, id := range c.pending {
 		j := c.jobs[id]
-		if j == nil || j.state != service.StatePending || j.assignedTo != "" || terminal(j.state) {
+		if j == nil || j.state != service.StatePending || j.assignedTo != "" || j.state.Terminal() {
 			continue // cancelled or already handled
 		}
 		w := c.pickWorkerLocked(j, now)
@@ -674,7 +662,7 @@ func (c *Coordinator) dispatch() {
 				j.state = service.StateRunning
 				j.started = now
 				j.assigns++
-				c.appendJournal(coordRecord{Op: copAssign, Job: j.id, Time: now, Worker: degradedWorker})
+				c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.id, Time: now, Worker: degradedWorker})
 				local = append(local, j)
 			}
 			c.pending = rest
@@ -746,7 +734,7 @@ func (c *Coordinator) runLocal(j *clusterJob) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if terminal(j.state) {
+	if j.state.Terminal() {
 		return
 	}
 	st := service.StateDone
@@ -758,9 +746,9 @@ func (c *Coordinator) runLocal(j *clusterJob) {
 	}
 	c.finalizeLocked(j, st, errMsg, raw, stats, 1)
 	if st == service.StateDone {
-		c.metrics.add(func(m *coordMetrics) { m.degradedRuns++ })
+		c.metrics.degradedRuns.Add(1)
 	}
-	c.metrics.add(func(m *coordMetrics) { m.results[st]++ })
+	c.metrics.results.Add(1, string(st))
 	c.log.Info("degraded-mode job finished", "job", j.id, "state", string(st))
 }
 
@@ -801,10 +789,10 @@ func (c *Coordinator) pickWorkerLocked(j *clusterJob, now time.Time) *workerStat
 	}
 	if len(holders) > 0 && best != nil {
 		if bestHolder != nil {
-			c.metrics.add(func(m *coordMetrics) { m.affinityHits++ })
+			c.metrics.affinity.Add(1, "hit")
 			return bestHolder
 		}
-		c.metrics.add(func(m *coordMetrics) { m.affinityMiss++ })
+		c.metrics.affinity.Add(1, "miss")
 	}
 	if best != nil {
 		return best
@@ -818,7 +806,7 @@ func (c *Coordinator) pickWorkerLocked(j *clusterJob, now time.Time) *workerStat
 			continue
 		}
 		if c.peers.Allow(name) == nil {
-			c.metrics.add(func(m *coordMetrics) { m.probes++ })
+			c.metrics.probes.Add(1)
 			c.log.Info("probing quarantined worker", "worker", name, "job", j.id)
 			return w
 		}
@@ -836,10 +824,10 @@ func (c *Coordinator) notePeerFailureLocked(name, class, reason string) {
 	if before == service.BreakerOpen || c.peers.State(name) != service.BreakerOpen {
 		return
 	}
-	c.metrics.add(func(m *coordMetrics) { m.quarantines++ })
+	c.metrics.quarantines.Add(1)
 	if w := c.workers[name]; w != nil {
 		for id := range w.inflight {
-			if j := c.jobs[id]; j != nil && !terminal(j.state) && j.assignedTo == name {
+			if j := c.jobs[id]; j != nil && !j.state.Terminal() && j.assignedTo == name {
 				c.requeueLocked(j, fmt.Sprintf("worker %s quarantined (%s)", name, class))
 			}
 		}
@@ -889,7 +877,7 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 				w.saturated = true
 			}
 		}
-		if !terminal(j.state) && j.assignedTo == worker {
+		if !j.state.Terminal() && j.assignedTo == worker {
 			j.assignedTo = ""
 			j.leaseExpiry = time.Time{}
 			c.pending = append([]string{j.id}, c.pending...)
@@ -904,15 +892,13 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 		if saturated {
 			// The whole batch bounced as load (a proxy or the legacy single
 			// surface): requeue without breaker feedback.
-			c.metrics.add(func(m *coordMetrics) { m.backpressure += uint64(len(batch)) })
+			c.metrics.backpressure.Add(uint64(len(batch)))
 			c.log.Info("worker saturated, batch requeued", "worker", worker, "jobs", len(batch))
 			return
 		}
 		class := classifyRPCFailure(err, status)
-		c.metrics.add(func(m *coordMetrics) {
-			m.assignErrors += uint64(len(batch))
-			m.assignFailures[class]++
-		})
+		c.metrics.assignErrors.Add(uint64(len(batch)))
+		c.metrics.assignFailures.Add(1, class)
 		c.notePeerFailureLocked(worker, class, fmt.Sprintf("assignment batch of %d failed: status=%d err=%v", len(batch), status, err))
 		c.log.Warn("assignment batch failed, jobs requeued", "worker", worker, "jobs", len(batch), "status", status, "class", class, "err", err)
 		return
@@ -928,22 +914,22 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 		switch {
 		case rr.Accepted:
 			c.peers.Record(worker, true)
-			if terminal(j.state) || j.assignedTo != worker {
+			if j.state.Terminal() || j.assignedTo != worker {
 				continue // raced with a result or a concurrent requeue
 			}
 			j.assigns++
-			c.appendJournal(coordRecord{Op: copAssign, Job: j.id, Time: c.now(), Worker: worker})
-			c.metrics.add(func(m *coordMetrics) { m.assigned[worker]++ })
+			c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.id, Time: c.now(), Worker: worker})
+			c.metrics.assigned.Add(1, worker)
 			c.log.Info("cluster job assigned", "job", j.id, "worker", worker, "assign", j.assigns)
 		case rr.Saturated:
 			requeue(a, true)
-			c.metrics.add(func(m *coordMetrics) { m.backpressure++ })
+			c.metrics.backpressure.Add(1)
 			c.log.Info("worker saturated, job requeued", "job", j.id, "worker", worker)
 		default:
 			// Reachable but not accepting this job (rejected or missing from
 			// the reply) — treat like backpressure, not sickness.
 			requeue(a, false)
-			c.metrics.add(func(m *coordMetrics) { m.assignErrors++ })
+			c.metrics.assignErrors.Add(1)
 			c.log.Warn("assignment rejected, job requeued", "job", j.id, "worker", worker, "reason", rr.Error)
 		}
 	}
@@ -954,7 +940,7 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 // the peer's breaker, exactly like a coordinator-observed failure.
 func (c *Coordinator) handlePeerReport(pr PeerReport) {
 	c.mu.Lock()
-	c.metrics.add(func(m *coordMetrics) { m.peerReports[pr.Class]++ })
+	c.metrics.peerReports.Add(1, pr.Class)
 	c.notePeerFailureLocked(pr.Peer, pr.Class, fmt.Sprintf("reported by %s", pr.From))
 	c.mu.Unlock()
 	c.kickDispatch()
@@ -989,7 +975,7 @@ func (c *Coordinator) handleHeartbeat(hb Heartbeat) HeartbeatReply {
 	var cancels []string
 	for id := range w.inflight {
 		j := c.jobs[id]
-		if j == nil || terminal(j.state) || j.assignedTo != hb.Worker {
+		if j == nil || j.state.Terminal() || j.assignedTo != hb.Worker {
 			delete(w.inflight, id)
 			continue
 		}
@@ -1013,16 +999,14 @@ func (c *Coordinator) handleHeartbeat(hb Heartbeat) HeartbeatReply {
 	// elsewhere): cancel them so the worker stops spending cycles.
 	for id := range reported {
 		j := c.jobs[id]
-		if j == nil || terminal(j.state) || j.assignedTo != hb.Worker {
+		if j == nil || j.state.Terminal() || j.assignedTo != hb.Worker {
 			cancels = append(cancels, id)
 		}
 	}
 	c.mu.Unlock()
 
-	c.metrics.add(func(m *coordMetrics) {
-		m.heartbeats++
-		m.cancelsRelayed += uint64(len(cancels))
-	})
+	c.metrics.heartbeats.Add(1)
+	c.metrics.cancelsRelayed.Add(uint64(len(cancels)))
 	c.kickDispatch()
 	return HeartbeatReply{Cancel: cancels}
 }
@@ -1039,11 +1023,11 @@ func (c *Coordinator) handleResults(p ResultsPush) ResultsReply {
 		if j == nil {
 			continue
 		}
-		if terminal(j.state) {
-			c.metrics.add(func(m *coordMetrics) { m.dupResults++ })
+		if j.state.Terminal() {
+			c.metrics.dupResults.Add(1)
 			continue
 		}
-		if !terminal(r.State) {
+		if !r.State.Terminal() {
 			continue
 		}
 		// A worker that lost the lease may still report: a done result is
@@ -1069,7 +1053,7 @@ func (c *Coordinator) handleResults(p ResultsPush) ResultsReply {
 		if st == service.StateDone {
 			c.noteAffinityLocked(j, p.Worker)
 		}
-		c.metrics.add(func(m *coordMetrics) { m.results[st]++ })
+		c.metrics.results.Add(1, string(st))
 		c.log.Info("cluster job finished", "job", j.id, "worker", p.Worker, "state", string(st))
 	}
 	c.mu.Unlock()
@@ -1119,13 +1103,11 @@ func (c *Coordinator) locateSnapshots(key, from string) []SnapshotLocation {
 	for i, cd := range cands {
 		out[i] = cd.loc
 	}
-	c.metrics.add(func(m *coordMetrics) {
-		if len(out) > 0 {
-			m.locateHits++
-		} else {
-			m.locateMisses++
-		}
-	})
+	if len(out) > 0 {
+		c.metrics.locates.Add(1, "hit")
+	} else {
+		c.metrics.locates.Add(1, "miss")
+	}
 	return out
 }
 
@@ -1141,9 +1123,9 @@ func (c *Coordinator) Status() StatusView {
 	for _, j := range c.jobs {
 		sv.Jobs[j.state]++
 	}
-	for _, name := range sortedKeys(c.workers) {
+	for _, name := range slices.Sorted(maps.Keys(c.workers)) {
 		w := c.workers[name]
-		keys := sortedKeys(w.warm)
+		keys := slices.Sorted(maps.Keys(w.warm))
 		brk := c.peers.State(name)
 		sv.Workers = append(sv.Workers, WorkerStatus{
 			Name:        name,
@@ -1159,33 +1141,4 @@ func (c *Coordinator) Status() StatusView {
 		})
 	}
 	return sv
-}
-
-// gauges samples the live state for /metrics.
-func (c *Coordinator) gauges() coordGauges {
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g := coordGauges{
-		inflight: make(map[string]int, len(c.workers)),
-		breakers: make(map[string]int, len(c.workers)),
-		jobs:     make(map[service.State]int, 5),
-		pending:  len(c.pending),
-		degraded: c.degraded,
-	}
-	for _, st := range service.States() {
-		g.jobs[st] = 0
-	}
-	for _, j := range c.jobs {
-		g.jobs[j.state]++
-	}
-	for name, w := range c.workers {
-		g.inflight[name] = len(w.inflight)
-		g.breakers[name] = c.peers.State(name)
-		g.warmKeys += len(w.warm)
-		if now.Sub(w.lastSeen) <= c.cfg.WorkerExpiry {
-			g.workers++
-		}
-	}
-	return g
 }

@@ -44,9 +44,9 @@ func classifyRPCFailure(err error, status int) string {
 // fetches scale with the blob — FetchBase covers connection + headers, and
 // FetchPerMB extends the deadline once the Content-Length is known.
 type RPCTimeouts struct {
-	Heartbeat time.Duration // heartbeat + result push; <=0 means 2s
-	Control   time.Duration // assign, locate, peer reports; <=0 means 5s
-	FetchBase time.Duration // snapshot fetch before headers; <=0 means 10s
+	Heartbeat  time.Duration // heartbeat + result push; <=0 means 2s
+	Control    time.Duration // assign, locate, peer reports; <=0 means 5s
+	FetchBase  time.Duration // snapshot fetch before headers; <=0 means 10s
 	FetchPerMB time.Duration // fetch deadline extension per MB of body; <=0 means 2s
 }
 

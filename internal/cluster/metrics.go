@@ -1,206 +1,98 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"maps"
+	"slices"
 
+	"pathfinder/internal/metrics"
 	"pathfinder/internal/service"
 )
 
-// coordMetrics is the coordinator's hand-rolled Prometheus surface,
-// following the service package's stdlib-only exposition idiom. Gauges
-// (workers, per-worker inflight, job states, pending queue) are sampled
-// from live coordinator state at scrape time so a scrape always matches
-// /cluster/status; everything here is the monotonic counters.
+// coordMetrics is the coordinator's registry and the counters it updates.
+// The gauges (workers, per-worker inflight and breakers, job states, the
+// pending queue) are sampled from live coordinator state at scrape time, so
+// a scrape always matches /cluster/status.
 type coordMetrics struct {
-	mu sync.Mutex
-
-	submitted      uint64
-	assigned       map[string]uint64 // by worker
-	affinityHits   uint64            // routed onto a warm-group holder
-	affinityMiss   uint64            // holders known but none assignable
-	backpressure   uint64            // 429-triggered requeues
-	reassigned     uint64            // lease-expiry requeues
-	assignErrors   uint64            // transport/5xx assignment failures
-	assignFailures map[string]uint64 // assignment failures by RPC class
-	peerReports    map[string]uint64 // worker-reported peer failures by class
-	quarantines    uint64            // peer breakers opened
-	probes         uint64            // probe assignments to quarantined workers
-	degradedRuns   uint64            // jobs completed in-process under degraded mode
-	heartbeats     uint64
-	results        map[service.State]uint64
-	dupResults     uint64 // terminal results for already-terminal jobs
-	locateHits     uint64 // snapshot lookups answered with a holder
-	locateMisses   uint64
-	jobsRecovered  uint64 // re-queued from the journal at startup
-	cancelsRelayed uint64
+	*metrics.Registry
+	submitted, assigned, affinity, backpressure, reassigned, assignErrors *metrics.Counter
+	assignFailures, peerReports, quarantines, probes, degradedRuns        *metrics.Counter
+	heartbeats, results, dupResults, locates, cancelsRelayed, recovered   *metrics.Counter
 }
 
-func newCoordMetrics() *coordMetrics {
-	return &coordMetrics{
-		assigned:       make(map[string]uint64),
-		assignFailures: make(map[string]uint64),
-		peerReports:    make(map[string]uint64),
-		results:        make(map[service.State]uint64),
+func newCoordMetrics(c *Coordinator) *coordMetrics {
+	reg := metrics.New()
+	m := &coordMetrics{Registry: reg}
+	// gauge registers a family sampled under the coordinator lock.
+	gauge := func(name, help string, labels []string, sample func(metrics.Emit)) {
+		reg.GaugeFunc(name, help, labels, func(emit metrics.Emit) {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			sample(emit)
+		})
 	}
-}
-
-func (m *coordMetrics) add(f func(*coordMetrics)) {
-	m.mu.Lock()
-	f(m)
-	m.mu.Unlock()
-}
-
-// coordGauges is the live state sampled at scrape time.
-type coordGauges struct {
-	workers  int
-	inflight map[string]int // by worker
-	breakers map[string]int // peer breaker state by worker
-	jobs     map[service.State]int
-	pending  int
-	warmKeys int  // advertised snapshot entries across live workers
-	degraded bool // coordinator shedding to in-process execution
-}
-
-// Expose renders the exposition text.
-func (m *coordMetrics) Expose(g coordGauges) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-
-	w("# HELP pathfinderd_cluster_workers live workers (heartbeat within the expiry window)\n")
-	w("# TYPE pathfinderd_cluster_workers gauge\n")
-	w("pathfinderd_cluster_workers %d\n", g.workers)
-
-	w("# HELP pathfinderd_cluster_jobs cluster jobs by lifecycle state\n")
-	w("# TYPE pathfinderd_cluster_jobs gauge\n")
-	for _, st := range service.States() {
-		w("pathfinderd_cluster_jobs{state=%q} %d\n", string(st), g.jobs[st])
-	}
-
-	w("# HELP pathfinderd_cluster_pending jobs waiting for assignment\n")
-	w("# TYPE pathfinderd_cluster_pending gauge\n")
-	w("pathfinderd_cluster_pending %d\n", g.pending)
-
-	w("# HELP pathfinderd_cluster_worker_inflight leases held per worker\n")
-	w("# TYPE pathfinderd_cluster_worker_inflight gauge\n")
-	for _, name := range sortedKeys(g.inflight) {
-		w("pathfinderd_cluster_worker_inflight{worker=%q} %d\n", name, g.inflight[name])
-	}
-
-	w("# HELP pathfinderd_cluster_warm_keys snapshot advertisements across live workers\n")
-	w("# TYPE pathfinderd_cluster_warm_keys gauge\n")
-	w("pathfinderd_cluster_warm_keys %d\n", g.warmKeys)
-
-	w("# HELP pathfinderd_cluster_jobs_submitted_total cluster jobs accepted\n")
-	w("# TYPE pathfinderd_cluster_jobs_submitted_total counter\n")
-	w("pathfinderd_cluster_jobs_submitted_total %d\n", m.submitted)
-
-	w("# HELP pathfinderd_cluster_assignments_total accepted assignments, by worker\n")
-	w("# TYPE pathfinderd_cluster_assignments_total counter\n")
-	for _, name := range sortedKeys(m.assigned) {
-		w("pathfinderd_cluster_assignments_total{worker=%q} %d\n", name, m.assigned[name])
-	}
-
-	w("# HELP pathfinderd_cluster_affinity_total warm-affinity routing outcomes for jobs whose group has known holders\n")
-	w("# TYPE pathfinderd_cluster_affinity_total counter\n")
-	w("pathfinderd_cluster_affinity_total{outcome=\"hit\"} %d\n", m.affinityHits)
-	w("pathfinderd_cluster_affinity_total{outcome=\"miss\"} %d\n", m.affinityMiss)
-
-	w("# HELP pathfinderd_cluster_backpressure_requeues_total assignments bounced by worker 429s and requeued\n")
-	w("# TYPE pathfinderd_cluster_backpressure_requeues_total counter\n")
-	w("pathfinderd_cluster_backpressure_requeues_total %d\n", m.backpressure)
-
-	w("# HELP pathfinderd_cluster_lease_reassignments_total jobs requeued after a lease expired\n")
-	w("# TYPE pathfinderd_cluster_lease_reassignments_total counter\n")
-	w("pathfinderd_cluster_lease_reassignments_total %d\n", m.reassigned)
-
-	w("# HELP pathfinderd_cluster_assign_errors_total assignments that failed in transport or with a non-429 error\n")
-	w("# TYPE pathfinderd_cluster_assign_errors_total counter\n")
-	w("pathfinderd_cluster_assign_errors_total %d\n", m.assignErrors)
-
-	w("# HELP pathfinderd_cluster_peer_breaker_state per-worker circuit breaker (0 closed, 1 half-open, 2 open)\n")
-	w("# TYPE pathfinderd_cluster_peer_breaker_state gauge\n")
-	for _, name := range sortedKeys(g.breakers) {
-		w("pathfinderd_cluster_peer_breaker_state{worker=%q} %d\n", name, g.breakers[name])
-	}
-
-	w("# HELP pathfinderd_cluster_assign_failures_total assignment failures by RPC failure class\n")
-	w("# TYPE pathfinderd_cluster_assign_failures_total counter\n")
-	for _, class := range sortedKeys(m.assignFailures) {
-		w("pathfinderd_cluster_assign_failures_total{class=%q} %d\n", class, m.assignFailures[class])
-	}
-
-	w("# HELP pathfinderd_cluster_peer_reports_total worker-reported peer failures by class\n")
-	w("# TYPE pathfinderd_cluster_peer_reports_total counter\n")
-	for _, class := range sortedKeys(m.peerReports) {
-		w("pathfinderd_cluster_peer_reports_total{class=%q} %d\n", class, m.peerReports[class])
-	}
-
-	w("# HELP pathfinderd_cluster_quarantines_total peer breakers opened (worker quarantined, leases requeued)\n")
-	w("# TYPE pathfinderd_cluster_quarantines_total counter\n")
-	w("pathfinderd_cluster_quarantines_total %d\n", m.quarantines)
-
-	w("# HELP pathfinderd_cluster_probes_total probe assignments admitted to quarantined workers\n")
-	w("# TYPE pathfinderd_cluster_probes_total counter\n")
-	w("pathfinderd_cluster_probes_total %d\n", m.probes)
-
-	w("# HELP pathfinderd_cluster_degraded gauge: 1 while the coordinator is shedding jobs to in-process execution\n")
-	w("# TYPE pathfinderd_cluster_degraded gauge\n")
-	w("pathfinderd_cluster_degraded %d\n", boolGauge(g.degraded))
-
-	w("# HELP pathfinderd_cluster_degraded_runs_total jobs completed in-process under degraded mode\n")
-	w("# TYPE pathfinderd_cluster_degraded_runs_total counter\n")
-	w("pathfinderd_cluster_degraded_runs_total %d\n", m.degradedRuns)
-
-	w("# HELP pathfinderd_cluster_heartbeats_total heartbeats received\n")
-	w("# TYPE pathfinderd_cluster_heartbeats_total counter\n")
-	w("pathfinderd_cluster_heartbeats_total %d\n", m.heartbeats)
-
-	w("# HELP pathfinderd_cluster_results_total terminal results received, by state\n")
-	w("# TYPE pathfinderd_cluster_results_total counter\n")
-	for _, st := range []service.State{service.StateDone, service.StateFailed, service.StateCancelled} {
-		if n, ok := m.results[st]; ok {
-			w("pathfinderd_cluster_results_total{state=%q} %d\n", string(st), n)
+	// perWorker emits one series per known worker, by name.
+	perWorker := func(value func(name string, w *workerState) int) func(metrics.Emit) {
+		return func(emit metrics.Emit) {
+			for _, name := range slices.Sorted(maps.Keys(c.workers)) {
+				emit(uint64(value(name, c.workers[name])), name)
+			}
 		}
 	}
 
-	w("# HELP pathfinderd_cluster_duplicate_results_total results for already-terminal jobs (reassignment races)\n")
-	w("# TYPE pathfinderd_cluster_duplicate_results_total counter\n")
-	w("pathfinderd_cluster_duplicate_results_total %d\n", m.dupResults)
-
-	w("# HELP pathfinderd_cluster_snapshot_locates_total warm-key location lookups, by outcome\n")
-	w("# TYPE pathfinderd_cluster_snapshot_locates_total counter\n")
-	w("pathfinderd_cluster_snapshot_locates_total{outcome=\"hit\"} %d\n", m.locateHits)
-	w("pathfinderd_cluster_snapshot_locates_total{outcome=\"miss\"} %d\n", m.locateMisses)
-
-	w("# HELP pathfinderd_cluster_cancels_relayed_total cancellations relayed to workers via heartbeat replies\n")
-	w("# TYPE pathfinderd_cluster_cancels_relayed_total counter\n")
-	w("pathfinderd_cluster_cancels_relayed_total %d\n", m.cancelsRelayed)
-
-	w("# HELP pathfinderd_cluster_jobs_recovered_total jobs re-queued from the coordinator journal at startup\n")
-	w("# TYPE pathfinderd_cluster_jobs_recovered_total counter\n")
-	w("pathfinderd_cluster_jobs_recovered_total %d\n", m.jobsRecovered)
-
-	return b.String()
-}
-
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	gauge("pathfinderd_cluster_workers", "live workers (heartbeat within the expiry window)", nil, func(emit metrics.Emit) {
+		live, now := 0, c.now()
+		for _, w := range c.workers {
+			if now.Sub(w.lastSeen) <= c.cfg.WorkerExpiry {
+				live++
+			}
+		}
+		emit(uint64(live))
+	})
+	gauge("pathfinderd_cluster_jobs", "cluster jobs by lifecycle state", []string{"state"}, func(emit metrics.Emit) {
+		counts := make(map[service.State]uint64, 5)
+		for _, j := range c.jobs {
+			counts[j.state]++
+		}
+		for _, st := range service.States() {
+			emit(counts[st], string(st))
+		}
+	})
+	gauge("pathfinderd_cluster_pending", "jobs waiting for assignment", nil, func(emit metrics.Emit) { emit(uint64(len(c.pending))) })
+	gauge("pathfinderd_cluster_worker_inflight", "leases held per worker", []string{"worker"},
+		perWorker(func(_ string, w *workerState) int { return len(w.inflight) }))
+	gauge("pathfinderd_cluster_warm_keys", "snapshot advertisements across live workers", nil, func(emit metrics.Emit) {
+		n := 0
+		for _, w := range c.workers {
+			n += len(w.warm)
+		}
+		emit(uint64(n))
+	})
+	m.submitted = reg.Counter("pathfinderd_cluster_jobs_submitted_total", "cluster jobs accepted")
+	m.assigned = reg.Counter("pathfinderd_cluster_assignments_total", "accepted assignments, by worker", "worker")
+	m.affinity = reg.FixedCounter("pathfinderd_cluster_affinity_total", "warm-affinity routing outcomes for jobs whose group has known holders", "outcome", "hit", "miss")
+	m.backpressure = reg.Counter("pathfinderd_cluster_backpressure_requeues_total", "assignments bounced by worker 429s and requeued")
+	m.reassigned = reg.Counter("pathfinderd_cluster_lease_reassignments_total", "jobs requeued after a lease expired")
+	m.assignErrors = reg.Counter("pathfinderd_cluster_assign_errors_total", "assignments that failed in transport or with a non-429 error")
+	gauge("pathfinderd_cluster_peer_breaker_state", "per-worker circuit breaker (0 closed, 1 half-open, 2 open)", []string{"worker"},
+		perWorker(func(name string, _ *workerState) int { return c.peers.State(name) }))
+	m.assignFailures = reg.Counter("pathfinderd_cluster_assign_failures_total", "assignment failures by RPC failure class", "class")
+	m.peerReports = reg.Counter("pathfinderd_cluster_peer_reports_total", "worker-reported peer failures by class", "class")
+	m.quarantines = reg.Counter("pathfinderd_cluster_quarantines_total", "peer breakers opened (worker quarantined, leases requeued)")
+	m.probes = reg.Counter("pathfinderd_cluster_probes_total", "probe assignments admitted to quarantined workers")
+	gauge("pathfinderd_cluster_degraded", "gauge: 1 while the coordinator is shedding jobs to in-process execution", nil, func(emit metrics.Emit) {
+		if c.degraded {
+			emit(1)
+		} else {
+			emit(0)
+		}
+	})
+	m.degradedRuns = reg.Counter("pathfinderd_cluster_degraded_runs_total", "jobs completed in-process under degraded mode")
+	m.heartbeats = reg.Counter("pathfinderd_cluster_heartbeats_total", "heartbeats received")
+	m.results = reg.Counter("pathfinderd_cluster_results_total", "terminal results received, by state", "state").
+		Order("state", string(service.StateDone), string(service.StateFailed), string(service.StateCancelled))
+	m.dupResults = reg.Counter("pathfinderd_cluster_duplicate_results_total", "results for already-terminal jobs (reassignment races)")
+	m.locates = reg.FixedCounter("pathfinderd_cluster_snapshot_locates_total", "warm-key location lookups, by outcome", "outcome", "hit", "miss")
+	m.cancelsRelayed = reg.Counter("pathfinderd_cluster_cancels_relayed_total", "cancellations relayed to workers via heartbeat replies")
+	m.recovered = reg.Counter("pathfinderd_cluster_jobs_recovered_total", "jobs re-queued from the coordinator journal at startup")
+	return m
 }

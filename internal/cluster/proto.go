@@ -174,16 +174,3 @@ type StatusView struct {
 	Pending  int                   `json:"pending"`  // unassigned queue length
 	Degraded bool                  `json:"degraded"` // coordinator running jobs in-process
 }
-
-// JobView is the coordinator's job projection: the service view plus the
-// worker holding the lease. The embedded fields keep the JSON shape a
-// superset of the standalone API's.
-type JobView struct {
-	service.JobView
-	Worker string `json:"worker,omitempty"`
-}
-
-// terminal mirrors the service-internal state predicate.
-func terminal(s service.State) bool {
-	return s == service.StateDone || s == service.StateFailed || s == service.StateCancelled
-}

@@ -1,30 +1,19 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"time"
 
 	"pathfinder/internal/service"
 )
 
-// Handler returns the coordinator's HTTP API: the client-facing routes
-// mirror the standalone service's surface (same paths, same JSON shapes, so
-// sweep scripts work unchanged against either), plus the worker-facing
-// control plane under /v1/cluster/ and the /cluster/status rollup.
+// Handler returns the coordinator's HTTP API: the standalone service's
+// client job routes (service.RegisterJobRoutes, so the paths and JSON shapes
+// are the same and sweep scripts work unchanged against either), plus the
+// worker-facing control plane under /v1/cluster/ and the /cluster/status
+// rollup.
 //
 //	GET  /healthz                  liveness
 //	GET  /metrics                  Prometheus text exposition
-//	GET  /v1/experiments           registry listing
-//	POST /v1/jobs                  submit one job
-//	GET  /v1/jobs                  list jobs (?state=, ?batch=, ?experiment=)
-//	GET  /v1/jobs/{id}             one job with its result
-//	POST /v1/jobs/{id}/cancel      cancel a pending or running job
-//	POST /v1/batch                 submit a sweep or an explicit job list
-//	GET  /v1/batch/{id}            batch rollup
-//	GET  /v1/batch/{id}/report     canonical report (byte-identical to standalone)
 //	GET  /cluster/status           worker directory + job rollup
 //	POST /v1/cluster/heartbeat     worker liveness/progress (worker-facing)
 //	POST /v1/cluster/results       terminal results (worker-facing)
@@ -35,7 +24,7 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := c.Status()
-		writeJSON(w, http.StatusOK, map[string]any{
+		service.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":  "ok",
 			"role":    "coordinator",
 			"workers": len(st.Workers),
@@ -43,228 +32,59 @@ func (c *Coordinator) Handler() http.Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, c.metrics.Expose(c.gauges()))
-	})
-
-	mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"experiments": c.reg.List()})
-	})
-
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req service.SubmitRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		v, err := c.Submit(req.Experiment, req.Params, "", time.Duration(req.TimeoutMS)*time.Millisecond)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, v)
-	})
-
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		jobs := c.List(service.ListFilter{
-			State:      service.State(q.Get("state")),
-			Batch:      q.Get("batch"),
-			Experiment: q.Get("experiment"),
-		})
-		writeJSON(w, http.StatusOK, map[string]any{"total": len(jobs), "jobs": jobs})
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		v, err := c.Get(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		v, err := c.Cancel(r.PathValue("id"))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, v)
-	})
-
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req service.BatchRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-		var (
-			batch string
-			views []JobView
-			err   error
-		)
-		switch {
-		case len(req.Jobs) > 0 && req.Sweep != nil:
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "use either jobs or sweep, not both"})
-			return
-		case len(req.Jobs) > 0:
-			c.mu.Lock()
-			c.seq++
-			batch = fmt.Sprintf("cbatch-%06d", c.seq)
-			c.mu.Unlock()
-			for _, jr := range req.Jobs {
-				jt := timeout
-				if jr.TimeoutMS > 0 {
-					jt = time.Duration(jr.TimeoutMS) * time.Millisecond
-				}
-				var v JobView
-				v, err = c.Submit(jr.Experiment, jr.Params, batch, jt)
-				if err != nil {
-					break
-				}
-				views = append(views, v)
-			}
-		default:
-			var archs []string
-			var seeds []int64
-			if req.Sweep != nil {
-				archs, seeds = req.Sweep.Archs, req.Sweep.Seeds
-			}
-			batch, views, err = c.SubmitSweep(req.Experiment, req.Params, archs, seeds, timeout)
-		}
-		if err != nil && len(views) == 0 {
-			writeErr(w, err)
-			return
-		}
-		resp := map[string]any{"batch": batch, "total": len(views), "jobs": views}
-		if err != nil {
-			resp["error"] = err.Error()
-		}
-		writeJSON(w, http.StatusAccepted, resp)
-	})
-
-	mux.HandleFunc("GET /v1/batch/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		jobs := c.List(service.ListFilter{Batch: id})
-		if len(jobs) == 0 {
-			writeErr(w, service.ErrNotFound)
-			return
-		}
-		byState := make(map[service.State]int, 5)
-		for _, st := range service.States() {
-			byState[st] = 0
-		}
-		for _, j := range jobs {
-			byState[j.State]++
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"batch": id, "total": len(jobs), "by_state": byState, "jobs": jobs,
-		})
-	})
-
-	mux.HandleFunc("GET /v1/batch/{id}/report", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		jobs := c.List(service.ListFilter{Batch: id})
-		if len(jobs) == 0 {
-			writeErr(w, service.ErrNotFound)
-			return
-		}
-		// Strip down to the service views: the canonical report must not see
-		// (and could not render differently anyway) cluster-only fields.
-		views := make([]service.JobView, len(jobs))
-		for i, j := range jobs {
-			views[i] = j.JobView
-		}
-		service.ServeReport(w, service.BuildReport(views))
-	})
+	mux.Handle("GET /metrics", c.metrics)
+	service.RegisterJobRoutes(mux, c)
 
 	mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Status())
+		service.WriteJSON(w, http.StatusOK, c.Status())
 	})
 
 	mux.HandleFunc("POST /v1/cluster/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var hb Heartbeat
-		if !readJSON(w, r, &hb) {
+		if !service.ReadJSON(w, r, &hb) {
 			return
 		}
 		if hb.Worker == "" || hb.Addr == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "heartbeat needs worker and addr"})
+			service.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "heartbeat needs worker and addr"})
 			return
 		}
-		writeJSON(w, http.StatusOK, c.handleHeartbeat(hb))
+		service.WriteJSON(w, http.StatusOK, c.handleHeartbeat(hb))
 	})
 
 	mux.HandleFunc("POST /v1/cluster/results", func(w http.ResponseWriter, r *http.Request) {
 		var p ResultsPush
-		if !readJSON(w, r, &p) {
+		if !service.ReadJSON(w, r, &p) {
 			return
 		}
-		writeJSON(w, http.StatusOK, c.handleResults(p))
+		service.WriteJSON(w, http.StatusOK, c.handleResults(p))
 	})
 
 	mux.HandleFunc("GET /v1/cluster/snapshots", func(w http.ResponseWriter, r *http.Request) {
 		key := r.URL.Query().Get("key")
 		if key == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "missing key parameter"})
+			service.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "missing key parameter"})
 			return
 		}
 		holders := c.locateSnapshots(key, r.URL.Query().Get("from"))
 		if len(holders) == 0 {
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "no live holder for key"})
+			service.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "no live holder for key"})
 			return
 		}
-		writeJSON(w, http.StatusOK, SnapshotLocations{Holders: holders})
+		service.WriteJSON(w, http.StatusOK, SnapshotLocations{Holders: holders})
 	})
 
 	mux.HandleFunc("POST /v1/cluster/report-peer", func(w http.ResponseWriter, r *http.Request) {
 		var pr PeerReport
-		if !readJSON(w, r, &pr) {
+		if !service.ReadJSON(w, r, &pr) {
 			return
 		}
 		if pr.Peer == "" || pr.Class == "" {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "peer report needs peer and class"})
+			service.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "peer report needs peer and class"})
 			return
 		}
 		c.handlePeerReport(pr)
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 
 	return mux
-}
-
-// readJSON / writeJSON / writeErr mirror the service package's helpers (the
-// service keeps them unexported; the duplication is smaller than the
-// coupling an export would add).
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("bad request body: %v", err)})
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
-}
-
-func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, service.ErrNotFound):
-		status = http.StatusNotFound
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrDraining):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, service.ErrFinished):
-		status = http.StatusConflict
-	default:
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, map[string]any{"error": err.Error()})
 }

@@ -16,6 +16,7 @@ import (
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/harness"
+	"pathfinder/internal/metrics"
 	"pathfinder/internal/service"
 	"pathfinder/internal/snapstore"
 )
@@ -65,17 +66,38 @@ type WorkerConfig struct {
 // ~MiB-scale encodings do not allocate per request.
 var blobPool = sync.Pool{New: func() any { b := make([]byte, 0, 1<<20); return &b }}
 
-// workerMetrics are the worker-side cluster counters, appended to the
-// wrapped service's /metrics exposition.
+// workerMetrics are the worker-side cluster counters, registered on the
+// wrapped service's registry so one scrape of its /metrics covers both
+// layers.
 type workerMetrics struct {
-	assignments    atomic.Uint64 // accepted assignments (single or batched)
-	rejected       atomic.Uint64 // assignments bounced as saturated
-	resultsPushed  atomic.Uint64
-	snapshotServes atomic.Uint64 // peer snapshot downloads served
-	heartbeatErrs  atomic.Uint64
-	hedgeWins      atomic.Uint64 // warm fetches delivered by a non-primary leg
-	hedgeLosses    atomic.Uint64 // hedge legs started but beaten by the primary
-	fetchCorrupt   atomic.Uint64 // peer snapshots rejected by verification
+	assignments, rejected, resultsPushed, snapshotServes, fetchCorrupt, hedge *metrics.Counter
+}
+
+func newWorkerMetrics(reg *metrics.Registry, budget *retryBudget) workerMetrics {
+	m := workerMetrics{
+		assignments:    reg.Counter("pathfinderd_worker_assignments_total", "cluster assignments accepted"),
+		rejected:       reg.Counter("pathfinderd_worker_rejected_total", "cluster assignments bounced with 429 backpressure"),
+		resultsPushed:  reg.Counter("pathfinderd_worker_results_pushed_total", "terminal results acked by the coordinator"),
+		snapshotServes: reg.Counter("pathfinderd_worker_snapshot_serves_total", "warm snapshots served to peers"),
+	}
+	reg.CounterFunc("pathfinderd_worker_warm_cache_total", "process warm-cache lookups, by outcome", []string{"outcome"}, func(emit metrics.Emit) {
+		hits, misses := harness.WarmCacheStats()
+		emit(hits, "hit")
+		emit(misses, "miss")
+	})
+	reg.CounterFunc("pathfinderd_worker_warm_fetch_total", "peer warm-state fetches, by outcome", []string{"outcome"}, func(emit metrics.Emit) {
+		hits, misses := harness.WarmFetchStats()
+		emit(hits, "hit")
+		emit(misses, "miss")
+	})
+	m.fetchCorrupt = reg.Counter("pathfinderd_worker_warm_fetch_corrupt_total", "peer snapshots rejected by wire/hash verification")
+	m.hedge = reg.FixedCounter("pathfinderd_worker_hedge_total", "hedged warm-fetch outcomes: win = non-primary leg delivered", "outcome", "win", "loss")
+	reg.CounterFunc("pathfinderd_worker_retry_budget_total", "retry-budget tokens, by outcome", []string{"outcome"}, func(emit metrics.Emit) {
+		spent, denied := budget.stats()
+		emit(spent, "spent")
+		emit(denied, "denied")
+	})
+	return m
 }
 
 // Worker wraps a full service.Service as one cluster execution node: it
@@ -123,12 +145,14 @@ func NewWorker(cfg WorkerConfig, svc *service.Service) (*Worker, error) {
 	if cfg.HedgeDelay <= 0 {
 		cfg.HedgeDelay = 50 * time.Millisecond
 	}
+	budget := newRetryBudget(cfg.RetryPerSecond, cfg.RetryBurst, nil)
 	return &Worker{
 		cfg:    cfg,
 		svc:    svc,
 		log:    cfg.Logger,
 		client: cfg.HTTPClient,
-		budget: newRetryBudget(cfg.RetryPerSecond, cfg.RetryBurst, nil),
+		m:      newWorkerMetrics(svc.Metrics(), budget),
+		budget: budget,
 		local:  make(map[string]string),
 		stop:   make(chan struct{}),
 	}, nil
@@ -188,7 +212,7 @@ func (w *Worker) tick() {
 				Error: fmt.Sprintf("local job %s vanished: %v", lid, err)})
 			continue
 		}
-		if terminal(v.State) {
+		if v.State.Terminal() {
 			results = append(results, JobResult{
 				ID: cid, State: v.State, Result: v.Result, Error: v.Error,
 				Stats: v.SimStats, Attempts: v.Attempts,
@@ -201,7 +225,6 @@ func (w *Worker) tick() {
 	if len(results) > 0 {
 		var reply ResultsReply
 		if err := w.post("/v1/cluster/results", w.cfg.Timeouts.Heartbeat, ResultsPush{Worker: w.cfg.Name, Results: results}, &reply); err != nil {
-			w.m.heartbeatErrs.Add(1)
 			w.log.Warn("result push failed, will resend", "err", err)
 		} else {
 			w.mu.Lock()
@@ -224,7 +247,6 @@ func (w *Worker) tick() {
 	}
 	var reply HeartbeatReply
 	if err := w.post("/v1/cluster/heartbeat", w.cfg.Timeouts.Heartbeat, hb, &reply); err != nil {
-		w.m.heartbeatErrs.Add(1)
 		w.log.Warn("heartbeat failed", "err", err)
 		return
 	}
@@ -391,9 +413,9 @@ func (w *Worker) hedgedFetch(holders []SnapshotLocation) (*cpu.Snapshot, Snapsho
 		case r := <-results:
 			if r.err == nil {
 				if r.leg > 0 {
-					w.m.hedgeWins.Add(1)
+					w.m.hedge.Add(1, "win")
 				} else if started > 1 {
-					w.m.hedgeLosses.Add(1)
+					w.m.hedge.Add(1, "loss")
 				}
 				return r.snap, r.loc, true
 			}
@@ -543,44 +565,43 @@ func (w *Worker) acceptAssignment(req RunRequest) RunResponse {
 
 // Handler returns the worker's HTTP surface: the cluster control routes
 // plus, as a fallback, the wrapped service's full API (so a worker is
-// inspectable and even directly usable like a standalone daemon).
+// inspectable and even directly usable like a standalone daemon). The
+// service's /metrics carries the worker's families too.
 //
 //	POST /v1/cluster/run    accept one assignment (429 on a full queue)
 //	POST /v1/cluster/runs   accept one dispatch tick's assignment batch
 //	GET  /snapshots         content-addressed snapshot index
 //	GET  /snapshots/{hash}  one encoded snapshot blob
-//	GET  /metrics           service metrics + worker cluster counters
 //	...                     everything else: the embedded service API
 func (w *Worker) Handler() http.Handler {
-	svcHandler := w.svc.Handler()
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/cluster/run", func(rw http.ResponseWriter, r *http.Request) {
 		var req RunRequest
-		if !readJSON(rw, r, &req) {
+		if !service.ReadJSON(rw, r, &req) {
 			return
 		}
 		rr := w.acceptAssignment(req)
 		switch {
 		case rr.Accepted:
-			writeJSON(rw, http.StatusOK, rr)
+			service.WriteJSON(rw, http.StatusOK, rr)
 		case rr.Saturated:
-			writeJSON(rw, http.StatusTooManyRequests, map[string]any{"error": rr.Error})
+			service.WriteJSON(rw, http.StatusTooManyRequests, map[string]any{"error": rr.Error})
 		default:
-			writeJSON(rw, http.StatusBadRequest, map[string]any{"error": rr.Error})
+			service.WriteJSON(rw, http.StatusBadRequest, map[string]any{"error": rr.Error})
 		}
 	})
 
 	mux.HandleFunc("POST /v1/cluster/runs", func(rw http.ResponseWriter, r *http.Request) {
 		var batch RunBatch
-		if !readJSON(rw, r, &batch) {
+		if !service.ReadJSON(rw, r, &batch) {
 			return
 		}
 		reply := RunBatchReply{Results: make([]RunResponse, len(batch.Jobs))}
 		for i, req := range batch.Jobs {
 			reply.Results[i] = w.acceptAssignment(req)
 		}
-		writeJSON(rw, http.StatusOK, reply)
+		service.WriteJSON(rw, http.StatusOK, reply)
 	})
 
 	mux.HandleFunc("GET /snapshots", func(rw http.ResponseWriter, r *http.Request) {
@@ -593,7 +614,7 @@ func (w *Worker) Handler() http.Handler {
 		for _, a := range ads {
 			out = append(out, entry{Key: a.Key, Hash: a.Hash})
 		}
-		writeJSON(rw, http.StatusOK, map[string]any{"total": len(out), "snapshots": out})
+		service.WriteJSON(rw, http.StatusOK, map[string]any{"total": len(out), "snapshots": out})
 	})
 
 	mux.HandleFunc("GET /snapshots/{hash}", func(rw http.ResponseWriter, r *http.Request) {
@@ -605,7 +626,7 @@ func (w *Worker) Handler() http.Handler {
 			*tbuf = blob[:0]
 		}
 		if !ok {
-			writeJSON(rw, http.StatusNotFound, map[string]any{"error": "no snapshot with that hash"})
+			service.WriteJSON(rw, http.StatusNotFound, map[string]any{"error": "no snapshot with that hash"})
 			return
 		}
 		w.m.snapshotServes.Add(1)
@@ -614,46 +635,6 @@ func (w *Worker) Handler() http.Handler {
 		_, _ = rw.Write(blob)
 	})
 
-	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-		// The service exposition first, then the worker's cluster counters:
-		// one scrape covers both layers.
-		svcHandler.ServeHTTP(rw, r)
-		warmHits, warmMisses := harness.WarmCacheStats()
-		fetchHits, fetchMisses := harness.WarmFetchStats()
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_assignments_total cluster assignments accepted\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_assignments_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_assignments_total %d\n", w.m.assignments.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_rejected_total cluster assignments bounced with 429 backpressure\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_rejected_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_rejected_total %d\n", w.m.rejected.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_results_pushed_total terminal results acked by the coordinator\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_results_pushed_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_results_pushed_total %d\n", w.m.resultsPushed.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_snapshot_serves_total warm snapshots served to peers\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_snapshot_serves_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_snapshot_serves_total %d\n", w.m.snapshotServes.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_warm_cache_total process warm-cache lookups, by outcome\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_warm_cache_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_warm_cache_total{outcome=\"hit\"} %d\n", warmHits)
-		fmt.Fprintf(rw, "pathfinderd_worker_warm_cache_total{outcome=\"miss\"} %d\n", warmMisses)
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_warm_fetch_total peer warm-state fetches, by outcome\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_warm_fetch_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_warm_fetch_total{outcome=\"hit\"} %d\n", fetchHits)
-		fmt.Fprintf(rw, "pathfinderd_worker_warm_fetch_total{outcome=\"miss\"} %d\n", fetchMisses)
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_warm_fetch_corrupt_total peer snapshots rejected by wire/hash verification\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_warm_fetch_corrupt_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_warm_fetch_corrupt_total %d\n", w.m.fetchCorrupt.Load())
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_hedge_total hedged warm-fetch outcomes: win = non-primary leg delivered\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_hedge_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_hedge_total{outcome=\"win\"} %d\n", w.m.hedgeWins.Load())
-		fmt.Fprintf(rw, "pathfinderd_worker_hedge_total{outcome=\"loss\"} %d\n", w.m.hedgeLosses.Load())
-		spent, denied := w.budget.stats()
-		fmt.Fprintf(rw, "# HELP pathfinderd_worker_retry_budget_total retry-budget tokens, by outcome\n")
-		fmt.Fprintf(rw, "# TYPE pathfinderd_worker_retry_budget_total counter\n")
-		fmt.Fprintf(rw, "pathfinderd_worker_retry_budget_total{outcome=\"spent\"} %d\n", spent)
-		fmt.Fprintf(rw, "pathfinderd_worker_retry_budget_total{outcome=\"denied\"} %d\n", denied)
-	})
-
-	mux.Handle("/", svcHandler)
+	mux.Handle("/", w.svc.Handler())
 	return mux
 }

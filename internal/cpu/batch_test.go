@@ -48,9 +48,9 @@ func fuzzProgram(data []byte) (*isa.Program, error) {
 	nfn := 1 + int(rd.next()%3)
 
 	a.Label("main")
-	a.MovI(isa.R1, 0)                       // loop counter
+	a.MovI(isa.R1, 0)                          // loop counter
 	a.MovI(isa.R2, int64(2+int(rd.next()%14))) // trip count
-	a.MovI(isa.R3, 0x8000)                  // data base
+	a.MovI(isa.R3, 0x8000)                     // data base
 	a.MovI(isa.R4, 1)
 	for i, r := range scratch {
 		a.MovI(r, int64(i*7+1))

@@ -191,7 +191,7 @@ type Machine struct {
 	// simulator itself never touches it.
 	Aux any
 
-	cbp    bpu.Predictor // conditional predictor in use: BPU.CBP or an Options-supplied oracle
+	cbp    bpu.Predictor         // conditional predictor in use: BPU.CBP or an Options-supplied oracle
 	inj    *faultinject.Injector // nil unless Options.Faults is enabled
 	harts  []*Hart
 	opts   Options

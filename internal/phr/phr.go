@@ -269,7 +269,7 @@ func (r *Reg) ContentID() uint64 {
 // result cache.
 func cvalIndex(cid uint64, key uint32) int {
 	h := (cid ^ uint64(key)<<40) * 0x9e3779b97f4a7c15
-	return int(h >> 58) & (cvalSlots - 1)
+	return int(h>>58) & (cvalSlots - 1)
 }
 
 var _ History = (*Reg)(nil)

@@ -48,7 +48,7 @@ func runSweep16(tb testing.TB, workers int) time.Duration {
 	return elapsed
 }
 
-// nopResponseWriter discards the response; it isolates writeJSON's own
+// nopResponseWriter discards the response; it isolates WriteJSON's own
 // allocations from recorder bookkeeping.
 type nopResponseWriter struct{ h http.Header }
 
@@ -64,22 +64,22 @@ func BenchmarkWriteJSON(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	}
 }
 
 // TestWriteJSONSteadyStateAllocs pins the pooling win: once the pool is
-// primed, a writeJSON call must stay under the pre-pool allocation count
+// primed, a WriteJSON call must stay under the pre-pool allocation count
 // (encoder + buffer + map iteration used to cost ~30).
 func TestWriteJSONSteadyStateAllocs(t *testing.T) {
 	w := nopResponseWriter{h: make(http.Header)}
 	body := errorBody{Error: "queue full"}
-	writeJSON(w, http.StatusServiceUnavailable, body) // prime the pool
+	WriteJSON(w, http.StatusServiceUnavailable, body) // prime the pool
 	avg := testing.AllocsPerRun(200, func() {
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		WriteJSON(w, http.StatusServiceUnavailable, body)
 	})
 	if avg > 8 {
-		t.Fatalf("writeJSON allocates %.1f objects per call at steady state, want <= 8", avg)
+		t.Fatalf("WriteJSON allocates %.1f objects per call at steady state, want <= 8", avg)
 	}
 }
 

@@ -25,13 +25,6 @@ const (
 	BreakerOpen     = 2
 )
 
-// Unexported aliases keep the service-internal spelling stable.
-const (
-	breakerClosed   = BreakerClosed
-	breakerHalfOpen = BreakerHalfOpen
-	breakerOpen     = BreakerOpen
-)
-
 // KeyedBreaker is a map of independent circuit breakers sharing one
 // threshold and cooldown. The service pool keys it by experiment name; the
 // cluster keys it by peer. A key that fails `threshold` consecutive times
@@ -67,11 +60,6 @@ func NewKeyedBreaker(noun string, threshold int, cooldown time.Duration, now fun
 		now:       now,
 		keys:      make(map[string]*keyBreaker),
 	}
-}
-
-// newBreaker keeps the pool's original per-experiment constructor spelling.
-func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *KeyedBreaker {
-	return NewKeyedBreaker("experiment", threshold, cooldown, now)
 }
 
 // Allow admits or rejects the key, wrapping ErrBreakerOpen on rejection.
@@ -140,8 +128,3 @@ func (b *KeyedBreaker) Snapshot() map[string]int {
 	}
 	return out
 }
-
-// Unexported method shims preserve the pool's call sites.
-func (b *KeyedBreaker) allow(key string) error          { return b.Allow(key) }
-func (b *KeyedBreaker) record(key string, success bool) { b.Record(key, success) }
-func (b *KeyedBreaker) snapshot() map[string]int        { return b.Snapshot() }

@@ -75,6 +75,7 @@ type JobView struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 	Error      string          `json:"error,omitempty"`
 	SimStats   *cpu.Counters   `json:"sim_stats,omitempty"`
+	Worker     string          `json:"worker,omitempty"` // cluster only: the worker holding or last holding the lease
 }
 
 // view snapshots the job; the caller must hold Service.mu.
@@ -106,7 +107,7 @@ func (j *job) view() JobView {
 	return v
 }
 
-// terminal reports whether the state admits no further transitions.
-func (s State) terminal() bool {
+// Terminal reports whether the state admits no further transitions.
+func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }

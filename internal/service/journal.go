@@ -6,19 +6,23 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"pathfinder/internal/cpu"
 )
 
-// journalRecord is one JSONL line of the write-ahead job journal. Every
-// job-state transition appends exactly one record before the transition is
-// acknowledged, so a crash at any instant leaves a journal from which the
-// full job table — and the set of jobs that must be re-queued — can be
-// reconstructed.
-type journalRecord struct {
-	Op   string    `json:"op"` // submit | start | retry | finish
+// JournalRecord is one JSONL line of a write-ahead job journal: the
+// standalone service's journal.jsonl and the cluster coordinator's
+// coordinator.jsonl share it. Every job-state transition appends exactly one
+// record before the transition is acknowledged, so a crash at any instant
+// leaves a journal from which the full job table — and the set of jobs that
+// must be re-queued — can be reconstructed.
+type JournalRecord struct {
+	Op   string    `json:"op"` // one of the Op* constants
 	Job  string    `json:"job"`
 	Time time.Time `json:"time"`
 
@@ -31,49 +35,93 @@ type journalRecord struct {
 	// start | retry
 	Attempt int `json:"attempt,omitempty"`
 
+	// assign | requeue
+	Worker string `json:"worker,omitempty"`
+	Reason string `json:"reason,omitempty"`
+
 	// finish
 	State  State           `json:"state,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
-	Stats  *cpu.Counters   `json:"stats,omitempty"`
+	Stats  cpu.Counters    `json:"stats,omitzero"`
 }
 
-// Journal record operations.
+// Journal record operations. The service writes submit, start, retry and
+// finish; the coordinator writes submit, assign, requeue and finish.
 const (
-	opSubmit = "submit"
-	opStart  = "start"
-	opRetry  = "retry"
-	opFinish = "finish"
+	OpSubmit  = "submit"
+	OpStart   = "start"
+	OpRetry   = "retry"
+	OpAssign  = "assign"
+	OpRequeue = "requeue"
+	OpFinish  = "finish"
 )
 
-// journal is the append-only JSONL writer. Appends are serialized by its
-// own mutex; the Service additionally appends while holding its job-table
-// lock, so journal order always matches state-transition order.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
+// journalCompactBytes is the startup compaction trigger: a journal at least
+// this large when opened is rewritten to its minimal replay-equivalent form
+// before anything new is appended.
+var journalCompactBytes int64 = 4 << 20
+
+// Journal is the append-only JSONL writer. Appends are serialized by its own
+// mutex; owners additionally append while holding their job-table lock, so
+// journal order always matches state-transition order. A nil *Journal — no
+// data directory — drops every record.
+type Journal struct {
+	mu  sync.Mutex
+	f   *os.File
+	log *slog.Logger
 }
 
-func openJournal(path string) (*journal, error) {
+// OpenJournal replays the journal at path, creating its directory, then
+// compacts it if it has reached the size trigger and opens it for appending.
+// It returns the replayed jobs in submission order and the highest sequence
+// number any job or batch ID used. Compaction failure is logged, not fatal:
+// the oversized journal still replays, and the next start tries again.
+func OpenJournal(path string, log *slog.Logger) (*Journal, []*ReplayedJob, uint64, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, nil, 0, fmt.Errorf("service: creating data dir: %w", err)
+	}
+	jobs, maxSeq, err := replayJournal(path, log)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if fi, serr := os.Stat(path); serr == nil && fi.Size() >= journalCompactBytes {
+		if cerr := compactJournal(path, jobs); cerr != nil {
+			log.Warn("journal compaction failed", "path", path, "err", cerr)
+		} else if after, aerr := os.Stat(path); aerr == nil {
+			log.Info("journal compacted", "path", path,
+				"before_bytes", fi.Size(), "after_bytes", after.Size(), "jobs", len(jobs))
+		}
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("service: opening journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("service: opening journal: %w", err)
 	}
-	return &journal{f: f}, nil
+	return &Journal{f: f, log: log}, jobs, maxSeq, nil
 }
 
-func (j *journal) append(rec journalRecord) error {
+// Append writes one record, logging rather than failing on error: a full
+// disk must not take the in-memory job table down with it.
+func (j *Journal) Append(rec JournalRecord) {
+	if j == nil {
+		return
+	}
 	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	if err == nil {
+		j.mu.Lock()
+		_, err = j.f.Write(append(raw, '\n'))
+		j.mu.Unlock()
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.f.Write(append(raw, '\n'))
-	return err
+	if err != nil {
+		j.log.Warn("journal append failed", "op", rec.Op, "job", rec.Job, "err", err)
+	}
 }
 
-func (j *journal) Close() error {
+// Close closes the journal file.
+func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Close()
@@ -81,108 +129,95 @@ func (j *journal) Close() error {
 
 // compactJournal rewrites the journal at path to the minimal record set
 // that replays to the same job table: per job, one submit, the surviving
-// start count, and the finish record if the job is terminal. Retry chatter,
-// corrupt lines and stray records vanish. The rewrite goes through a temp
-// file in the same directory and an atomic rename, so a crash mid-compaction
-// leaves either the old journal or the new one — never a torn mixture.
+// start count, and the finish record if the job is terminal. Retry,
+// assignment and requeue history, corrupt lines and stray records vanish.
+// The rewrite goes through a temp file in the same directory and an atomic
+// rename, so a crash mid-compaction leaves either the old journal or the new
+// one — never a torn mixture.
 //
 // The input is the already-replayed state, which is exactly the fixpoint
 // property the replay-equality test pins down: replay(compact(J)) ==
 // replay(J) for every journal J, because compaction serializes what replay
 // reconstructed.
-func compactJournal(path string, jobs []*replayedJob) error {
+func compactJournal(path string, jobs []*ReplayedJob) (err error) {
 	tmp := path + ".compact"
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+			err = fmt.Errorf("service: compacting journal: %w", err)
+		}
+	}()
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	write := func(rec journalRecord) error {
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		_, err = w.Write(raw)
 		return err
 	}
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w) // Encode writes Marshal's bytes plus a newline
 	for _, r := range jobs {
-		p := r.params
-		rec := journalRecord{
-			Op: opSubmit, Job: r.id, Time: r.submitted,
-			Experiment: r.experiment, Params: &p, Batch: r.batch,
-			TimeoutMS: r.timeout.Milliseconds(),
-		}
-		if err := write(rec); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("service: compacting journal: %w", err)
-		}
+		p := r.Params
+		recs := []JournalRecord{{
+			Op: OpSubmit, Job: r.ID, Time: r.Submitted,
+			Experiment: r.Experiment, Params: &p, Batch: r.Batch,
+			TimeoutMS: r.Timeout.Milliseconds(),
+		}}
 		// Start records survive as a count: the attempt budget replays from
 		// them, and the last one carries the started timestamp.
-		for i := 0; i < r.starts; i++ {
-			if err := write(journalRecord{Op: opStart, Job: r.id, Time: r.lastStart, Attempt: i + 1}); err != nil {
-				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("service: compacting journal: %w", err)
-			}
+		for i := 0; i < r.Starts; i++ {
+			recs = append(recs, JournalRecord{Op: OpStart, Job: r.ID, Time: r.LastStart, Attempt: i + 1})
 		}
-		if r.finished {
-			var stats *cpu.Counters
-			if r.stats != (cpu.Counters{}) {
-				st := r.stats
-				stats = &st
-			}
-			fin := journalRecord{
-				Op: opFinish, Job: r.id, Time: r.finTime,
-				State: r.finState, Error: r.finErr, Result: r.result, Stats: stats,
-			}
-			if err := write(fin); err != nil {
+		if r.Finished {
+			recs = append(recs, JournalRecord{
+				Op: OpFinish, Job: r.ID, Time: r.FinishedAt,
+				State: r.State, Error: r.Error, Result: r.Result, Stats: r.Stats,
+			})
+		}
+		for _, rec := range recs {
+			if err := enc.Encode(rec); err != nil {
 				f.Close()
-				os.Remove(tmp)
-				return fmt.Errorf("service: compacting journal: %w", err)
+				return err
 			}
 		}
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting journal: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting journal: %w", err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting journal: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting journal: %w", err)
-	}
-	return nil
+	return os.Rename(tmp, path)
 }
 
-// replayedJob is the reconstruction of one job from its journal records.
-type replayedJob struct {
-	id         string
-	experiment string
-	params     Params
-	batch      string
-	timeout    time.Duration
-	submitted  time.Time
+// ReplayedJob is the reconstruction of one job from its journal records.
+type ReplayedJob struct {
+	ID         string
+	Experiment string
+	Params     Params
+	Batch      string
+	Timeout    time.Duration
+	Submitted  time.Time
 
-	starts    int // attempts consumed before the crash
-	lastStart time.Time
+	Starts    int // attempts consumed before the crash
+	LastStart time.Time
 
-	finished bool
-	finState State
-	finErr   string
-	result   json.RawMessage
-	stats    cpu.Counters
-	finTime  time.Time
+	Finished   bool
+	State      State
+	Error      string
+	Result     json.RawMessage
+	Stats      cpu.Counters
+	FinishedAt time.Time
+}
+
+// seqOf is the sequence number in the digits after an ID's last '-', which
+// serves job-/batch- and the coordinator's cjob-/cbatch- IDs alike; any
+// other ID yields 0.
+func seqOf(id string) uint64 {
+	n, _ := strconv.ParseUint(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
+	return n
 }
 
 // replayJournal reads the journal at path and reconstructs every job it
@@ -192,7 +227,7 @@ type replayedJob struct {
 // with a logged warning, never an error: the journal is the recovery path,
 // and refusing to start over one torn record would turn a crash into an
 // outage.
-func replayJournal(path string, log *slog.Logger) (jobs []*replayedJob, maxSeq uint64, err error) {
+func replayJournal(path string, log *slog.Logger) (jobs []*ReplayedJob, maxSeq uint64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, 0, nil
@@ -202,14 +237,7 @@ func replayJournal(path string, log *slog.Logger) (jobs []*replayedJob, maxSeq u
 	}
 	defer f.Close()
 
-	byID := make(map[string]*replayedJob)
-	bumpSeq := func(id, prefix string) {
-		var n uint64
-		if _, err := fmt.Sscanf(id, prefix+"-%d", &n); err == nil && n > maxSeq {
-			maxSeq = n
-		}
-	}
-
+	byID := make(map[string]*ReplayedJob)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	line := 0
@@ -219,69 +247,64 @@ func replayJournal(path string, log *slog.Logger) (jobs []*replayedJob, maxSeq u
 		if len(raw) == 0 {
 			continue
 		}
-		var rec journalRecord
+		var rec JournalRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			log.Warn("journal: skipping corrupt record", "line", line, "err", err)
 			continue
 		}
+		r := byID[rec.Job]
 		switch rec.Op {
-		case opSubmit:
+		case OpSubmit:
 			if rec.Job == "" || rec.Experiment == "" {
 				log.Warn("journal: skipping submit record without job or experiment", "line", line)
 				continue
 			}
-			if _, dup := byID[rec.Job]; dup {
+			if r != nil {
 				log.Warn("journal: skipping duplicate submit", "line", line, "job", rec.Job)
 				continue
 			}
-			r := &replayedJob{
-				id:         rec.Job,
-				experiment: rec.Experiment,
-				batch:      rec.Batch,
-				timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
-				submitted:  rec.Time,
+			r = &ReplayedJob{
+				ID:         rec.Job,
+				Experiment: rec.Experiment,
+				Batch:      rec.Batch,
+				Timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
+				Submitted:  rec.Time,
 			}
 			if rec.Params != nil {
-				r.params = *rec.Params
+				r.Params = *rec.Params
 			}
 			byID[rec.Job] = r
 			jobs = append(jobs, r)
-			bumpSeq(rec.Job, "job")
-			if rec.Batch != "" {
-				bumpSeq(rec.Batch, "batch")
-			}
-		case opStart:
-			r := byID[rec.Job]
-			if r == nil || r.finished {
+			maxSeq = max(maxSeq, seqOf(rec.Job), seqOf(rec.Batch))
+		case OpStart:
+			if r == nil || r.Finished {
 				log.Warn("journal: skipping stray start record", "line", line, "job", rec.Job)
 				continue
 			}
-			r.starts++
-			r.lastStart = rec.Time
-		case opRetry:
+			r.Starts++
+			r.LastStart = rec.Time
+		case OpRetry, OpAssign, OpRequeue:
 			// Informational: the attempt count is derived from start records,
-			// so a retry record needs no replay action beyond existing.
-			if byID[rec.Job] == nil {
-				log.Warn("journal: skipping stray retry record", "line", line, "job", rec.Job)
+			// and a crash invalidates every coordinator lease, so these need no
+			// replay action beyond existing.
+			if r == nil {
+				log.Warn("journal: skipping stray "+rec.Op+" record", "line", line, "job", rec.Job)
 			}
-		case opFinish:
-			r := byID[rec.Job]
-			if r == nil || r.finished {
+		case OpFinish:
+			if r == nil || r.Finished {
 				log.Warn("journal: skipping stray finish record", "line", line, "job", rec.Job)
 				continue
 			}
-			if !rec.State.terminal() {
+			if !rec.State.Terminal() {
 				log.Warn("journal: skipping finish record with non-terminal state", "line", line, "job", rec.Job, "state", string(rec.State))
 				continue
 			}
-			r.finished = true
-			r.finState = rec.State
-			r.finErr = rec.Error
-			r.result = rec.Result
-			r.finTime = rec.Time
-			if rec.Stats != nil {
-				r.stats = *rec.Stats
-			}
+			r.Finished = true
+			r.State = rec.State
+			r.Error = rec.Error
+			r.Result = rec.Result
+			r.Stats = rec.Stats
+			r.FinishedAt = rec.Time
 		default:
 			log.Warn("journal: skipping record with unknown op", "line", line, "op", rec.Op)
 		}

@@ -14,57 +14,64 @@ import (
 // TestCompactJournalReplayEquality is the compaction fixpoint property:
 // replay(compact(J)) == replay(J) for a journal holding every record shape —
 // finished jobs, mid-run jobs, queued jobs, retry chatter, corrupt lines and
-// stray records.
+// stray records — in both the service's format and the coordinator's
+// (cjob-/cbatch- IDs, assign and requeue records, no start records).
 func TestCompactJournalReplayEquality(t *testing.T) {
-	dir := t.TempDir()
-	path := writeJournalLines(t, dir,
-		`{"op":"submit","job":"job-000001","experiment":"echo","params":{"seed":11},"timeout_ms":60000,"time":"2026-08-06T12:00:00Z"}`,
-		`{"op":"start","job":"job-000001","attempt":1,"time":"2026-08-06T12:00:01Z"}`,
-		`{"op":"finish","job":"job-000001","state":"done","result":{"seed":11},"stats":{"runs":1},"time":"2026-08-06T12:00:02Z"}`,
-		// Mid-run job: two starts with a retry between them.
-		`{"op":"submit","job":"job-000002","experiment":"echo","params":{"seed":22},"timeout_ms":60000,"time":"2026-08-06T12:00:03Z"}`,
-		`{"op":"start","job":"job-000002","attempt":1,"time":"2026-08-06T12:00:04Z"}`,
-		`{"op":"retry","job":"job-000002","attempt":1,"error":"transient","time":"2026-08-06T12:00:05Z"}`,
-		`{"op":"start","job":"job-000002","attempt":2,"time":"2026-08-06T12:00:06Z"}`,
-		// Queued job, never started.
-		`{"op":"submit","job":"job-000003","experiment":"echo","params":{"seed":33},"batch":"batch-000004","time":"2026-08-06T12:00:07Z"}`,
-		// Failed job with an error message.
-		`{"op":"submit","job":"job-000005","experiment":"echo","params":{"seed":55},"time":"2026-08-06T12:00:08Z"}`,
-		`{"op":"start","job":"job-000005","attempt":1,"time":"2026-08-06T12:00:09Z"}`,
-		`{"op":"finish","job":"job-000005","state":"failed","error":"boom","time":"2026-08-06T12:00:10Z"}`,
-		// Noise replay already ignores: stray records and a torn tail.
-		`{"op":"start","job":"job-999999","attempt":1,"time":"2026-08-06T12:00:11Z"}`,
-		`{"op":"submit","job":"job-0000`,
-	)
-	log := slog.New(slog.DiscardHandler)
+	for name, lines := range map[string][]string{
+		"service": {
+			`{"op":"submit","job":"job-000001","experiment":"echo","params":{"seed":11},"timeout_ms":60000,"time":"2026-08-06T12:00:00Z"}`,
+			`{"op":"start","job":"job-000001","attempt":1,"time":"2026-08-06T12:00:01Z"}`,
+			`{"op":"finish","job":"job-000001","state":"done","result":{"seed":11},"stats":{"runs":1},"time":"2026-08-06T12:00:02Z"}`,
+			// Mid-run job: two starts with a retry between them.
+			`{"op":"submit","job":"job-000002","experiment":"echo","params":{"seed":22},"timeout_ms":60000,"time":"2026-08-06T12:00:03Z"}`,
+			`{"op":"start","job":"job-000002","attempt":1,"time":"2026-08-06T12:00:04Z"}`,
+			`{"op":"retry","job":"job-000002","attempt":1,"error":"transient","time":"2026-08-06T12:00:05Z"}`,
+			`{"op":"start","job":"job-000002","attempt":2,"time":"2026-08-06T12:00:06Z"}`,
+			// Queued job, never started.
+			`{"op":"submit","job":"job-000003","experiment":"echo","params":{"seed":33},"batch":"batch-000004","time":"2026-08-06T12:00:07Z"}`,
+			// Failed job with an error message.
+			`{"op":"submit","job":"job-000005","experiment":"echo","params":{"seed":55},"time":"2026-08-06T12:00:08Z"}`,
+			`{"op":"start","job":"job-000005","attempt":1,"time":"2026-08-06T12:00:09Z"}`,
+			`{"op":"finish","job":"job-000005","state":"failed","error":"boom","time":"2026-08-06T12:00:10Z"}`,
+			// Noise replay already ignores: stray records and a torn tail.
+			`{"op":"start","job":"job-999999","attempt":1,"time":"2026-08-06T12:00:11Z"}`,
+			`{"op":"submit","job":"job-0000`,
+		},
+		"coordinator": coordinatorJournalLines,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := writeJournalLines(t, t.TempDir(), lines...)
+			log := slog.New(slog.DiscardHandler)
 
-	before, beforeSeq, err := replayJournal(path, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origSize := fileSize(t, path)
-	if err := compactJournal(path, before); err != nil {
-		t.Fatal(err)
-	}
-	after, afterSeq, err := replayJournal(path, log)
-	if err != nil {
-		t.Fatal(err)
-	}
+			before, beforeSeq, err := replayJournal(path, log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			origSize := fileSize(t, path)
+			if err := compactJournal(path, before); err != nil {
+				t.Fatal(err)
+			}
+			after, afterSeq, err := replayJournal(path, log)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if beforeSeq != afterSeq {
-		t.Errorf("maxSeq changed across compaction: %d -> %d", beforeSeq, afterSeq)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("job count changed across compaction: %d -> %d", len(before), len(after))
-	}
-	for i := range before {
-		if !reflect.DeepEqual(*before[i], *after[i]) {
-			t.Errorf("job %s replays differently after compaction:\nbefore: %+v\nafter:  %+v",
-				before[i].id, *before[i], *after[i])
-		}
-	}
-	if sz := fileSize(t, path); sz >= origSize {
-		t.Errorf("compaction did not shrink the journal: %d -> %d bytes", origSize, sz)
+			if beforeSeq != afterSeq {
+				t.Errorf("maxSeq changed across compaction: %d -> %d", beforeSeq, afterSeq)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("job count changed across compaction: %d -> %d", len(before), len(after))
+			}
+			for i := range before {
+				if !reflect.DeepEqual(*before[i], *after[i]) {
+					t.Errorf("job %s replays differently after compaction:\nbefore: %+v\nafter:  %+v",
+						before[i].ID, *before[i], *after[i])
+				}
+			}
+			if sz := fileSize(t, path); sz >= origSize {
+				t.Errorf("compaction did not shrink the journal: %d -> %d bytes", origSize, sz)
+			}
+		})
 	}
 }
 
@@ -120,7 +127,8 @@ func TestOpenCompactsOversizedJournal(t *testing.T) {
 	f.Close()
 	fat := fileSize(t, path)
 
-	cfg.JournalCompactBytes = 1 // any non-empty journal compacts
+	defer func(at int64) { journalCompactBytes = at }(journalCompactBytes)
+	journalCompactBytes = 1 // any non-empty journal compacts
 	s2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +194,7 @@ func waitTerminal(t *testing.T, s *Service, id string) JobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.State.terminal() {
+		if v.State.Terminal() {
 			return v
 		}
 		time.Sleep(5 * time.Millisecond)

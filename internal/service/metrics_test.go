@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,14 +15,17 @@ import (
 	"pathfinder/internal/snapstore"
 )
 
-// TestHistogramBucketBoundaries pins which bucket an observation on an
-// exact upper bound lands in: Prometheus buckets are le (inclusive upper),
-// so a duration equal to a bound must count in that bound's bucket, and
-// anything past the last bound goes to +Inf.
+// TestHistogramBucketBoundaries pins which bucket of the service's job
+// duration histogram an observation on an exact upper bound lands in:
+// Prometheus buckets are le (inclusive upper), so a duration equal to a
+// bound must count in that bound's bucket, and anything past the last bound
+// goes to +Inf.
 func TestHistogramBucketBoundaries(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
 	cases := []struct {
 		seconds float64
-		bucket  int // expected index into counts
+		bucket  int // expected index into durationBuckets
 	}{
 		{0, 0},
 		{0.0005, 0},
@@ -41,31 +45,38 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{120.0001, len(durationBuckets)}, // overflow bucket
 		{3600, len(durationBuckets)},     // way past the end
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		t.Run(fmt.Sprintf("%gs", c.seconds), func(t *testing.T) {
-			h := newHistogram()
-			h.observe(c.seconds)
-			for i, n := range h.counts {
-				want := uint64(0)
-				if i == c.bucket {
+			exp := fmt.Sprintf("case%d", i)
+			s.metrics.latency.Observe(c.seconds, exp)
+			text := s.metrics.Expose()
+			for k, ub := range durationBuckets {
+				want := 0
+				if k >= c.bucket {
 					want = 1
 				}
-				if n != want {
-					t.Errorf("bucket %d count = %d, want %d", i, n, want)
+				sample := fmt.Sprintf(`pathfinderd_job_duration_seconds_bucket{experiment=%q,le="%s"}`, exp, strconv.FormatFloat(ub, 'f', -1, 64))
+				if got := metricValue(t, text, sample); got != want {
+					t.Errorf("%s = %d, want %d", sample, got, want)
 				}
 			}
-			if h.n != 1 || h.sum != c.seconds {
-				t.Errorf("n=%d sum=%g, want 1 and %g", h.n, h.sum, c.seconds)
+			if n := metricValue(t, text, fmt.Sprintf(`pathfinderd_job_duration_seconds_bucket{experiment=%q,le="+Inf"}`, exp)); n != 1 {
+				t.Errorf("+Inf bucket = %d, want 1", n)
+			}
+			sum := fmt.Sprintf(`pathfinderd_job_duration_seconds_sum{experiment=%q} %g`, exp, c.seconds)
+			if !strings.Contains(text, sum+"\n") {
+				t.Errorf("exposition missing %s", sum)
 			}
 		})
 	}
 }
 
-// TestHistogramExpositionCumulative checks the rendered histogram is
-// cumulative and consistent: each le series includes every faster
-// observation, +Inf equals the count, and the sum is exact.
+// TestHistogramExpositionCumulative checks the service's rendered duration
+// histogram is cumulative and consistent: each le series includes every
+// faster job, +Inf equals the count, and bounds render Prometheus-style.
 func TestHistogramExpositionCumulative(t *testing.T) {
-	m := newMetrics(2)
+	s := New(Config{Workers: 2})
+	defer shutdown(t, s)
 	durations := []time.Duration{
 		500 * time.Microsecond, // bucket le=0.001
 		time.Millisecond,       // le=0.001 (boundary)
@@ -74,9 +85,9 @@ func TestHistogramExpositionCumulative(t *testing.T) {
 		10 * time.Minute,       // +Inf
 	}
 	for _, d := range durations {
-		m.jobFinished("obs2", StateDone, d, cpu.Counters{})
+		s.metrics.jobFinished("obs2", StateDone, d, cpu.Counters{})
 	}
-	exp := m.Expose(map[State]int{}, 0, nil, 0)
+	exp := s.metrics.Expose()
 
 	bucket := func(le string) int {
 		return metricValue(t, exp, fmt.Sprintf(`pathfinderd_job_duration_seconds_bucket{experiment="obs2",le="%s"}`, le))

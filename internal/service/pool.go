@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -18,6 +17,7 @@ import (
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/harness"
+	"pathfinder/internal/metrics"
 )
 
 // Sentinel errors surfaced to API handlers.
@@ -50,7 +50,9 @@ type Config struct {
 	// DataDir enables durability: every job transition is appended to
 	// <DataDir>/journal.jsonl before it is acknowledged, and Open replays
 	// the journal on startup, re-queuing jobs that were pending or running
-	// when the previous process died. Empty keeps the service in-memory.
+	// when the previous process died. A journal past 4 MiB is compacted to
+	// the minimal record set that replays to the identical job table before
+	// new records are appended. Empty keeps the service in-memory.
 	DataDir string
 
 	// MaxAttempts is the per-job attempt budget: a job whose runner fails is
@@ -72,15 +74,6 @@ type Config struct {
 	// probe submission. <=0 means 30s.
 	BreakerCooldown time.Duration
 
-	// JournalCompactBytes triggers startup compaction: when the journal at
-	// Open time is at least this many bytes, it is rewritten to the minimal
-	// record set that replays to the identical job table (one submit, the
-	// surviving start count, and the terminal record per job) before new
-	// records are appended. Intermediate retry chatter and corrupt tails
-	// are dropped; replaying the compacted journal yields byte-identical
-	// state. <=0 means 4 MiB.
-	JournalCompactBytes int64
-
 	// ResultCacheSize bounds the in-memory result cache: finished results
 	// are kept in an LRU keyed by (experiment, canonical resolved params),
 	// and an identical later job is served from the cache — or deduplicated
@@ -99,11 +92,11 @@ type Service struct {
 	cfg     Config
 	reg     *Registry
 	log     *slog.Logger
-	metrics *Metrics
+	metrics *serviceMetrics
 	now     func() time.Time
 	breaker *KeyedBreaker
 	retry   harness.Retry
-	journal *journal     // nil when Config.DataDir is empty
+	journal *Journal     // nil when Config.DataDir is empty
 	results *resultCache // nil when Config.ResultCacheSize <= 0
 
 	queue chan *job
@@ -172,37 +165,13 @@ func Open(cfg Config) (*Service, error) {
 	}
 
 	var (
-		replayed []*replayedJob
+		replayed []*ReplayedJob
 		maxSeq   uint64
-		jr       *journal
+		jr       *Journal
 	)
 	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: creating data dir: %w", err)
-		}
-		path := filepath.Join(cfg.DataDir, "journal.jsonl")
 		var err error
-		replayed, maxSeq, err = replayJournal(path, cfg.Logger)
-		if err != nil {
-			return nil, err
-		}
-		// Startup compaction: once the journal crosses the size trigger,
-		// rewrite it from the replayed state before appending anything new.
-		// Compaction failure is logged, not fatal — the oversized journal
-		// still replays, and the next restart tries again.
-		compactAt := cfg.JournalCompactBytes
-		if compactAt <= 0 {
-			compactAt = 4 << 20
-		}
-		if fi, serr := os.Stat(path); serr == nil && fi.Size() >= compactAt {
-			if cerr := compactJournal(path, replayed); cerr != nil {
-				cfg.Logger.Warn("journal compaction failed", "err", cerr)
-			} else if after, aerr := os.Stat(path); aerr == nil {
-				cfg.Logger.Info("journal compacted",
-					"before_bytes", fi.Size(), "after_bytes", after.Size(), "jobs", len(replayed))
-			}
-		}
-		if jr, err = openJournal(path); err != nil {
+		if jr, replayed, maxSeq, err = OpenJournal(filepath.Join(cfg.DataDir, "journal.jsonl"), cfg.Logger); err != nil {
 			return nil, err
 		}
 	}
@@ -211,7 +180,7 @@ func Open(cfg Config) (*Service, error) {
 	// the configured depth is smaller than the backlog the crash left.
 	pending := 0
 	for _, r := range replayed {
-		if !r.finished && r.starts < cfg.MaxAttempts {
+		if !r.Finished && r.Starts < cfg.MaxAttempts {
 			pending++
 		}
 	}
@@ -224,9 +193,8 @@ func Open(cfg Config) (*Service, error) {
 		cfg:         cfg,
 		reg:         cfg.Registry,
 		log:         cfg.Logger,
-		metrics:     newMetrics(cfg.Workers),
 		now:         cfg.Clock,
-		breaker:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
+		breaker:     NewKeyedBreaker("experiment", cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
 		retry:       harness.Retry{Attempts: cfg.MaxAttempts, Backoff: cfg.RetryBackoff},
 		journal:     jr,
 		results:     newResultCache(cfg.ResultCacheSize),
@@ -234,6 +202,7 @@ func Open(cfg Config) (*Service, error) {
 		jobs:        make(map[string]*job),
 		retryTimers: make(map[string]*time.Timer),
 	}
+	s.metrics = newServiceMetrics(s)
 	s.seq = maxSeq
 	recovered := s.install(replayed)
 
@@ -249,7 +218,7 @@ func Open(cfg Config) (*Service, error) {
 // install rebuilds the job table from replayed journal state and re-queues
 // the unfinished jobs, returning how many were re-queued. Called before the
 // workers start, so no locking is needed yet.
-func (s *Service) install(replayed []*replayedJob) int {
+func (s *Service) install(replayed []*ReplayedJob) int {
 	recovered := 0
 	// Successes re-seed the result cache in finish order, not submission
 	// order: the live process stored each result when its job finished, so
@@ -260,43 +229,43 @@ func (s *Service) install(replayed []*replayedJob) int {
 	var reseed []*job
 	for _, r := range replayed {
 		j := &job{
-			id:         r.id,
-			experiment: r.experiment,
-			params:     r.params,
-			batch:      r.batch,
-			timeout:    r.timeout,
-			submitted:  r.submitted,
-			attempts:   r.starts,
+			id:         r.ID,
+			experiment: r.Experiment,
+			params:     r.Params,
+			batch:      r.Batch,
+			timeout:    r.Timeout,
+			submitted:  r.Submitted,
+			attempts:   r.Starts,
 		}
 		if j.timeout <= 0 {
 			j.timeout = s.cfg.DefaultTimeout
 		}
 		switch {
-		case r.finished:
-			j.state = r.finState
-			j.errMsg = r.finErr
-			j.result = r.result
-			j.stats = r.stats
-			j.started = r.lastStart
-			j.finished = r.finTime
+		case r.Finished:
+			j.state = r.State
+			j.errMsg = r.Error
+			j.result = r.Result
+			j.stats = r.Stats
+			j.started = r.LastStart
+			j.finished = r.FinishedAt
 			if j.started.IsZero() {
 				j.started = j.finished
 			}
 			if s.results != nil && j.state == StateDone && len(j.result) > 0 {
 				reseed = append(reseed, j)
 			}
-		case r.starts >= s.cfg.MaxAttempts:
+		case r.Starts >= s.cfg.MaxAttempts:
 			// The crash consumed the last attempt; re-running would loop a
 			// crashing job forever.
 			j.state = StateFailed
 			j.errMsg = fmt.Sprintf("recovered after crash: %d journaled start(s) exhausted the attempt budget of %d",
-				r.starts, s.cfg.MaxAttempts)
-			j.started = r.lastStart
+				r.Starts, s.cfg.MaxAttempts)
+			j.started = r.LastStart
 			j.finished = s.now()
 			if j.started.IsZero() {
 				j.started = j.finished
 			}
-			s.appendJournal(journalRecord{Op: opFinish, Job: j.id, Time: j.finished, State: j.state, Error: j.errMsg})
+			s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: j.state, Error: j.errMsg})
 			s.log.Warn("job finalized on recovery", "job", j.id, "reason", j.errMsg)
 		default:
 			j.state = StatePending
@@ -318,23 +287,16 @@ func (s *Service) install(replayed []*replayedJob) int {
 			s.results.put(key, &resultEntry{result: j.result, stats: j.stats})
 		}
 	}
-	s.metrics.jobsRecovered(recovered)
+	s.metrics.recovered.Add(uint64(recovered))
 	return recovered
-}
-
-// appendJournal writes one record, logging rather than failing on error: a
-// full disk must not take the in-memory service down with it.
-func (s *Service) appendJournal(rec journalRecord) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.append(rec); err != nil {
-		s.log.Warn("journal append failed", "op", rec.Op, "job", rec.Job, "err", err)
-	}
 }
 
 // Registry exposes the experiment registry (tests register extra specs).
 func (s *Service) Registry() *Registry { return s.reg }
+
+// Metrics is the service's metrics registry, served at GET /metrics; a
+// cluster worker registers its own families on it.
+func (s *Service) Metrics() *metrics.Registry { return s.metrics.Registry }
 
 // Workers returns the pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
@@ -352,7 +314,7 @@ func (s *Service) Submit(experiment string, p Params, batch string, timeout time
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	if err := s.breaker.allow(experiment); err != nil {
+	if err := s.breaker.Allow(experiment); err != nil {
 		return JobView{}, err
 	}
 
@@ -382,15 +344,15 @@ func (s *Service) Submit(experiment string, p Params, batch string, timeout time
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.appendJournal(journalRecord{
-		Op: opSubmit, Job: j.id, Time: j.submitted,
+	s.journal.Append(JournalRecord{
+		Op: OpSubmit, Job: j.id, Time: j.submitted,
 		Experiment: experiment, Params: &resolved, Batch: batch,
 		TimeoutMS: timeout.Milliseconds(),
 	})
 	v := j.view()
 	s.mu.Unlock()
 
-	s.metrics.jobSubmitted(experiment)
+	s.metrics.submitted.Add(1, experiment)
 	s.log.Info("job submitted", "job", j.id, "experiment", experiment, "batch", batch)
 	return v, nil
 }
@@ -419,11 +381,7 @@ func (s *Service) SubmitSweep(experiment string, base Params, archs []string, se
 		return "", nil, fmt.Errorf("%w: sweep of %d jobs exceeds queue depth %d", ErrQueueFull, n, cap)
 	}
 
-	s.mu.Lock()
-	s.seq++
-	batch := fmt.Sprintf("batch-%06d", s.seq)
-	s.mu.Unlock()
-
+	batch := s.NewBatch()
 	views := make([]JobView, 0, len(archs)*len(seeds))
 	for _, a := range archs {
 		for _, seed := range seeds {
@@ -439,6 +397,14 @@ func (s *Service) SubmitSweep(experiment string, base Params, archs []string, se
 	}
 	s.log.Info("batch submitted", "batch", batch, "experiment", experiment, "jobs", len(views))
 	return batch, views, nil
+}
+
+// NewBatch allocates a batch ID from the job sequence.
+func (s *Service) NewBatch() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	return fmt.Sprintf("batch-%06d", s.seq)
 }
 
 // Get returns a job snapshot.
@@ -506,7 +472,7 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		s.mu.Unlock()
 		return JobView{}, ErrNotFound
 	}
-	if j.state.terminal() {
+	if j.state.Terminal() {
 		v := j.view()
 		s.mu.Unlock()
 		return v, ErrFinished
@@ -523,7 +489,7 @@ func (s *Service) Cancel(id string) (JobView, error) {
 		j.state = StateCancelled
 		j.finished = s.now()
 		j.started = j.finished
-		s.appendJournal(journalRecord{Op: opFinish, Job: id, Time: j.finished, State: StateCancelled})
+		s.journal.Append(JournalRecord{Op: OpFinish, Job: id, Time: j.finished, State: StateCancelled})
 		s.metrics.jobFinished(j.experiment, StateCancelled, 0, j.stats)
 	} else if j.cancel != nil {
 		cancel = j.cancel
@@ -583,10 +549,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	if s.journal != nil {
-		if cerr := s.journal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := s.journal.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	s.log.Info("service drained")
 	return err
@@ -601,7 +565,7 @@ func (s *Service) finalizeLocked(j *job, st State, msg string) {
 	if j.started.IsZero() {
 		j.started = j.finished
 	}
-	s.appendJournal(journalRecord{Op: opFinish, Job: j.id, Time: j.finished, State: st, Error: msg})
+	s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: st, Error: msg})
 	s.metrics.jobFinished(j.experiment, st, 0, j.stats)
 }
 
@@ -628,7 +592,7 @@ func (s *Service) runJob(workerID int, j *job) {
 		j.errMsg = fmt.Sprintf("experiment %q vanished from the registry", j.experiment)
 		j.started = s.now()
 		j.finished = j.started
-		s.appendJournal(journalRecord{Op: opFinish, Job: j.id, Time: j.finished, State: StateFailed, Error: j.errMsg})
+		s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: StateFailed, Error: j.errMsg})
 		s.metrics.jobFinished(j.experiment, StateFailed, 0, j.stats)
 		s.mu.Unlock()
 		return
@@ -639,8 +603,8 @@ func (s *Service) runJob(workerID int, j *job) {
 	j.started = s.now()
 	j.attempts++
 	attempt := j.attempts
-	s.appendJournal(journalRecord{Op: opStart, Job: j.id, Time: j.started, Attempt: attempt})
-	s.metrics.jobStarted(j.experiment)
+	s.journal.Append(JournalRecord{Op: OpStart, Job: j.id, Time: j.started, Attempt: attempt})
+	s.metrics.started.Add(1)
 	s.mu.Unlock()
 	defer cancel()
 
@@ -677,19 +641,19 @@ func (s *Service) runJob(workerID int, j *job) {
 		j.result = raw
 	}
 	state, dur := j.state, j.finished.Sub(j.started)
-	s.appendJournal(journalRecord{
-		Op: opFinish, Job: j.id, Time: j.finished,
-		State: state, Error: j.errMsg, Result: j.result, Stats: statsPtr(stats),
+	s.journal.Append(JournalRecord{
+		Op: OpFinish, Job: j.id, Time: j.finished,
+		State: state, Error: j.errMsg, Result: j.result, Stats: stats,
 	})
 	s.metrics.jobFinished(j.experiment, state, dur, stats)
 	s.mu.Unlock()
 
 	switch state {
 	case StateDone:
-		s.breaker.record(j.experiment, true)
+		s.breaker.Record(j.experiment, true)
 	case StateFailed:
-		s.breaker.record(j.experiment, false)
-		s.metrics.jobFailed(j.experiment, classifyFailure(err, j.errMsg))
+		s.breaker.Record(j.experiment, false)
+		s.metrics.failures.Add(1, j.experiment, string(classifyFailure(err, j.errMsg)))
 	}
 
 	s.log.Info("job finished", "job", j.id, "experiment", j.experiment,
@@ -712,10 +676,10 @@ func (s *Service) execute(ctx context.Context, run Runner, j *job) (json.RawMess
 		return marshalResult(result, stats, err)
 	}
 	if e, ok := s.results.get(key); ok {
-		s.metrics.resultCacheHit(j.experiment)
+		s.metrics.cacheHits.Add(1, j.experiment)
 		return e.result, e.stats, nil
 	}
-	s.metrics.resultCacheMiss(j.experiment)
+	s.metrics.cacheMisses.Add(1, j.experiment)
 	deduped := false
 	for {
 		flight, leader := s.results.begin(key)
@@ -731,7 +695,7 @@ func (s *Service) execute(ctx context.Context, run Runner, j *job) (json.RawMess
 		}
 		if !deduped {
 			deduped = true
-			s.metrics.resultCacheDedup(j.experiment)
+			s.metrics.cacheDedup.Add(1, j.experiment)
 		}
 		select {
 		case <-flight.done:
@@ -772,8 +736,8 @@ func (s *Service) scheduleRetryLocked(j *job, cause error) {
 	j.lastErr = cause.Error()
 	j.finished = time.Time{}
 	delay := s.retry.Delay(j.attempts, retrySeed(j.id))
-	s.appendJournal(journalRecord{Op: opRetry, Job: j.id, Time: s.now(), Attempt: j.attempts, Error: j.lastErr})
-	s.metrics.jobRetried(j.experiment)
+	s.journal.Append(JournalRecord{Op: OpRetry, Job: j.id, Time: s.now(), Attempt: j.attempts, Error: j.lastErr})
+	s.metrics.retried.Add(1, j.experiment)
 	id := j.id
 	s.retryTimers[id] = time.AfterFunc(delay, func() { s.requeue(id) })
 	s.log.Warn("job retry scheduled", "job", id, "experiment", j.experiment,
@@ -819,14 +783,6 @@ func classifyFailure(err error, msg string) failureClass {
 	default:
 		return failError
 	}
-}
-
-// statsPtr boxes non-zero counters for the journal's omitempty field.
-func statsPtr(c cpu.Counters) *cpu.Counters {
-	if c == (cpu.Counters{}) {
-		return nil
-	}
-	return &c
 }
 
 // runRecovered invokes the runner, converting a panic into an error so one

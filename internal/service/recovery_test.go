@@ -69,7 +69,7 @@ func TestCrashRecovery(t *testing.T) {
 	waitFor(t, 10*time.Second, "recovered jobs to finish", func() bool {
 		for _, id := range []string{"job-000002", "job-000003"} {
 			v, err := s.Get(id)
-			if err != nil || !v.State.terminal() {
+			if err != nil || !v.State.Terminal() {
 				return false
 			}
 		}
@@ -108,7 +108,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("job table holds %d jobs, want 5 (4 recovered + 1 new)", got)
 	}
 
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if n := metricValue(t, exp, "pathfinderd_jobs_recovered_total"); n != 2 {
 		t.Fatalf("recovered_total = %d, want 2 (jobs 2 and 3)", n)
 	}

@@ -115,7 +115,7 @@ func TestResultCacheServesRepeatJobs(t *testing.T) {
 		t.Fatalf("runner ran %d times after a distinct submission, want 2", got)
 	}
 
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if got := metricValue(t, exp, `pathfinderd_result_cache_hits_total{experiment="counted"}`); got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
@@ -167,7 +167,7 @@ func TestResultCacheDedupsConcurrentJobs(t *testing.T) {
 	// One leader runs; the other two workers park as followers on its
 	// flight. Only then release, so the dedup path is genuinely concurrent.
 	waitFor(t, 10*time.Second, "both followers to join the flight", func() bool {
-		exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+		exp := s.metrics.Expose()
 		return metricSample(exp, `pathfinderd_result_cache_dedup_total{experiment="parked"}`) == n-1
 	})
 	close(release)
@@ -184,7 +184,7 @@ func TestResultCacheDedupsConcurrentJobs(t *testing.T) {
 	if got := starts.Load(); got != 1 {
 		t.Fatalf("runner started %d times for %d identical jobs, want 1", got, n)
 	}
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if got := metricValue(t, exp, `pathfinderd_result_cache_misses_total{experiment="parked"}`); got != n {
 		t.Errorf("misses = %d, want %d", got, n)
 	}
@@ -243,7 +243,7 @@ func TestResultCacheRepopulatedFromJournal(t *testing.T) {
 	if string(repeat.Result) != string(first.Result) {
 		t.Fatalf("replayed cache served %s, original was %s", repeat.Result, first.Result)
 	}
-	exp := s2.metrics.Expose(s2.StateCounts(), s2.QueueDepth(), nil, s2.results.len())
+	exp := s2.metrics.Expose()
 	if got := metricValue(t, exp, `pathfinderd_result_cache_hits_total{experiment="counted"}`); got != 1 {
 		t.Errorf("hits after restart = %d, want 1", got)
 	}

@@ -48,13 +48,13 @@ func TestJobRetrySucceedsWithinBudget(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "flaky job to finish", func() bool {
 		got, err := s.Get(v.ID)
-		return err == nil && got.State.terminal()
+		return err == nil && got.State.Terminal()
 	})
 	got, _ := s.Get(v.ID)
 	if got.State != StateDone || got.Attempts != 3 {
 		t.Fatalf("state=%s attempts=%d err=%q, want done after 3 attempts", got.State, got.Attempts, got.Error)
 	}
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if n := metricValue(t, exp, `pathfinderd_job_retries_total{experiment="flaky"}`); n != 2 {
 		t.Fatalf("retries_total = %d, want 2", n)
 	}
@@ -74,7 +74,7 @@ func TestJobRetryExhaustsBudget(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "doomed job to finish", func() bool {
 		got, err := s.Get(v.ID)
-		return err == nil && got.State.terminal()
+		return err == nil && got.State.Terminal()
 	})
 	got, _ := s.Get(v.ID)
 	if got.State != StateFailed || got.Attempts != 2 || !strings.Contains(got.Error, "transient failure 2") {
@@ -159,7 +159,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		waitFor(t, 10*time.Second, "job terminal", func() bool {
 			got, err := s.Get(v.ID)
-			return err == nil && got.State.terminal()
+			return err == nil && got.State.Terminal()
 		})
 		got, _ := s.Get(v.ID)
 		return got
@@ -171,8 +171,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if _, err := s.Submit("sick", Params{}, "", time.Minute); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("submit with open breaker: err = %v, want ErrBreakerOpen", err)
 	}
-	if st := s.breaker.snapshot()["sick"]; st != breakerOpen {
-		t.Fatalf("breaker state = %d, want open (%d)", st, breakerOpen)
+	if st := s.breaker.Snapshot()["sick"]; st != BreakerOpen {
+		t.Fatalf("breaker state = %d, want open (%d)", st, BreakerOpen)
 	}
 	// Other experiments are unaffected.
 	if _, err := s.Submit("table1", Params{}, "", time.Minute); err != nil {
@@ -185,7 +185,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if got := submitAndWait(); got.State != StateDone {
 		t.Fatalf("probe after cooldown: state=%s err=%q, want done", got.State, got.Error)
 	}
-	if st, ok := s.breaker.snapshot()["sick"]; ok {
+	if st, ok := s.breaker.Snapshot()["sick"]; ok {
 		t.Fatalf("breaker still tracking healed experiment (state %d), want closed/forgotten", st)
 	}
 	if got := submitAndWait(); got.State != StateDone {
@@ -197,28 +197,28 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // flight, further submissions stay rejected; a failing probe re-opens.
 func TestBreakerHalfOpenRejectsSecondProbe(t *testing.T) {
 	clock := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	b := newBreaker(1, 10*time.Second, func() time.Time { return clock })
-	b.record("x", false) // opens at threshold 1
-	if err := b.allow("x"); !errors.Is(err, ErrBreakerOpen) {
+	b := NewKeyedBreaker("experiment", 1, 10*time.Second, func() time.Time { return clock })
+	b.Record("x", false) // opens at threshold 1
+	if err := b.Allow("x"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker admitted: %v", err)
 	}
 	clock = clock.Add(11 * time.Second)
-	if err := b.allow("x"); err != nil {
+	if err := b.Allow("x"); err != nil {
 		t.Fatalf("cooldown probe rejected: %v", err)
 	}
-	if err := b.allow("x"); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Allow("x"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("second submission during half-open admitted: %v", err)
 	}
-	b.record("x", false) // probe failed: re-open, cooldown restarts
-	if err := b.allow("x"); !errors.Is(err, ErrBreakerOpen) {
+	b.Record("x", false) // probe failed: re-open, cooldown restarts
+	if err := b.Allow("x"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("re-opened breaker admitted: %v", err)
 	}
 	clock = clock.Add(11 * time.Second)
-	if err := b.allow("x"); err != nil {
+	if err := b.Allow("x"); err != nil {
 		t.Fatalf("second probe rejected: %v", err)
 	}
-	b.record("x", true)
-	if err := b.allow("x"); err != nil {
+	b.Record("x", true)
+	if err := b.Allow("x"); err != nil {
 		t.Fatalf("closed breaker rejected: %v", err)
 	}
 }
@@ -246,7 +246,7 @@ func TestRunRecoveredPanicPath(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "panicking job to finish", func() bool {
 		got, err := s.Get(v.ID)
-		return err == nil && got.State.terminal()
+		return err == nil && got.State.Terminal()
 	})
 	got, _ := s.Get(v.ID)
 	if got.State != StateFailed || !strings.Contains(got.Error, "experiment panicked: kaboom") {
@@ -263,7 +263,7 @@ func TestRunRecoveredPanicPath(t *testing.T) {
 		return err == nil && got.State == StateDone
 	})
 
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if n := metricValue(t, exp, `pathfinderd_job_failures_total{experiment="bomb",class="panic"}`); n != 1 {
 		t.Fatalf("panic failure class = %d, want 1", n)
 	}
@@ -313,7 +313,7 @@ func TestCancelMetricsCounters(t *testing.T) {
 		t.Fatalf("cancel on finished job: err = %v, want ErrFinished", err)
 	}
 
-	exp := s.metrics.Expose(s.StateCounts(), s.QueueDepth(), nil, s.results.len())
+	exp := s.metrics.Expose()
 	if n := metricValue(t, exp, `pathfinderd_jobs_finished_total{experiment="blocker",state="cancelled"}`); n != 2 {
 		t.Fatalf("cancelled counter = %d, want 2 (queued + running)", n)
 	}

@@ -47,18 +47,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Handler returns the service's HTTP API:
+// Handler returns the service's HTTP API: the client job routes of
+// RegisterJobRoutes plus
 //
 //	GET  /healthz               liveness + drain status
 //	GET  /readyz                readiness: admission state + per-experiment breakers
 //	GET  /metrics               Prometheus text exposition
-//	GET  /v1/experiments        registry listing with per-experiment defaults
-//	POST /v1/jobs               submit one job
-//	GET  /v1/jobs               list jobs (?state=, ?batch=, ?experiment=)
-//	GET  /v1/jobs/{id}          one job with its result
-//	POST /v1/jobs/{id}/cancel   cancel a pending or running job
-//	POST /v1/batch              submit a sweep or an explicit job list
-//	GET  /v1/batch/{id}         batch rollup
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -70,7 +64,7 @@ func (s *Service) Handler() http.Handler {
 		if draining {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{
+		WriteJSON(w, status, map[string]any{
 			"status":  map[bool]string{false: "ok", true: "draining"}[draining],
 			"workers": s.Workers(),
 			"queue":   s.QueueDepth(),
@@ -81,7 +75,7 @@ func (s *Service) Handler() http.Handler {
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
-		breakers := s.breaker.snapshot()
+		breakers := s.breaker.Snapshot()
 		// Ready means Submit would be admitted: not draining and queue has
 		// room. An open breaker degrades a single experiment, not the whole
 		// service, so it is reported but does not flip readiness.
@@ -90,7 +84,7 @@ func (s *Service) Handler() http.Handler {
 		if !ready {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{
+		WriteJSON(w, status, map[string]any{
 			"ready":    ready,
 			"draining": draining,
 			"queue":    s.QueueDepth(),
@@ -99,59 +93,83 @@ func (s *Service) Handler() http.Handler {
 		})
 	})
 
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, s.metrics.Expose(s.StateCounts(), s.QueueDepth(), s.breaker.snapshot(), s.results.len()))
-	})
+	mux.Handle("GET /metrics", s.metrics)
+	RegisterJobRoutes(mux, s)
+	return mux
+}
 
+// JobAPI is the job table behind the client routes. The standalone Service
+// and the cluster Coordinator both implement it, so the routes, and the
+// JSON a client sees, exist once.
+type JobAPI interface {
+	Registry() *Registry
+	Submit(experiment string, p Params, batch string, timeout time.Duration) (JobView, error)
+	SubmitSweep(experiment string, base Params, archs []string, seeds []int64, timeout time.Duration) (string, []JobView, error)
+	NewBatch() string
+	Get(id string) (JobView, error)
+	List(f ListFilter) []JobView
+	Cancel(id string) (JobView, error)
+}
+
+// RegisterJobRoutes adds the client job routes over api to mux:
+//
+//	GET  /v1/experiments        registry listing with per-experiment defaults
+//	POST /v1/jobs               submit one job
+//	GET  /v1/jobs               list jobs (?state=, ?batch=, ?experiment=)
+//	GET  /v1/jobs/{id}          one job with its result
+//	POST /v1/jobs/{id}/cancel   cancel a pending or running job
+//	POST /v1/batch              submit a sweep or an explicit job list
+//	GET  /v1/batch/{id}         batch rollup
+//	GET  /v1/batch/{id}/report  canonical report (byte-identical across owners)
+func RegisterJobRoutes(mux *http.ServeMux, api JobAPI) {
 	mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"experiments": s.reg.List()})
+		WriteJSON(w, http.StatusOK, map[string]any{"experiments": api.Registry().List()})
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if !readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req) {
 			return
 		}
-		v, err := s.Submit(req.Experiment, req.Params, "", time.Duration(req.TimeoutMS)*time.Millisecond)
+		v, err := api.Submit(req.Experiment, req.Params, "", time.Duration(req.TimeoutMS)*time.Millisecond)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, v)
+		WriteJSON(w, http.StatusAccepted, v)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		jobs := s.List(ListFilter{
+		jobs := api.List(ListFilter{
 			State:      State(q.Get("state")),
 			Batch:      q.Get("batch"),
 			Experiment: q.Get("experiment"),
 		})
-		writeJSON(w, http.StatusOK, map[string]any{"total": len(jobs), "jobs": jobs})
+		WriteJSON(w, http.StatusOK, map[string]any{"total": len(jobs), "jobs": jobs})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		v, err := s.Get(r.PathValue("id"))
+		v, err := api.Get(r.PathValue("id"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		v, err := s.Cancel(r.PathValue("id"))
+		v, err := api.Cancel(r.PathValue("id"))
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		WriteJSON(w, http.StatusOK, v)
 	})
 
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if !readJSON(w, r, &req) {
+		if !ReadJSON(w, r, &req) {
 			return
 		}
 		timeout := time.Duration(req.TimeoutMS) * time.Millisecond
@@ -162,20 +180,17 @@ func (s *Service) Handler() http.Handler {
 		)
 		switch {
 		case len(req.Jobs) > 0 && req.Sweep != nil:
-			writeJSON(w, http.StatusBadRequest, errorBody{"use either jobs or sweep, not both"})
+			WriteJSON(w, http.StatusBadRequest, errorBody{"use either jobs or sweep, not both"})
 			return
 		case len(req.Jobs) > 0:
-			s.mu.Lock()
-			s.seq++
-			batch = fmt.Sprintf("batch-%06d", s.seq)
-			s.mu.Unlock()
+			batch = api.NewBatch()
 			for _, jr := range req.Jobs {
 				jt := timeout
 				if jr.TimeoutMS > 0 {
 					jt = time.Duration(jr.TimeoutMS) * time.Millisecond
 				}
 				var v JobView
-				v, err = s.Submit(jr.Experiment, jr.Params, batch, jt)
+				v, err = api.Submit(jr.Experiment, jr.Params, batch, jt)
 				if err != nil {
 					break
 				}
@@ -187,7 +202,7 @@ func (s *Service) Handler() http.Handler {
 			if req.Sweep != nil {
 				archs, seeds = req.Sweep.Archs, req.Sweep.Seeds
 			}
-			batch, views, err = s.SubmitSweep(req.Experiment, req.Params, archs, seeds, timeout)
+			batch, views, err = api.SubmitSweep(req.Experiment, req.Params, archs, seeds, timeout)
 		}
 		if err != nil && len(views) == 0 {
 			writeError(w, err)
@@ -199,22 +214,21 @@ func (s *Service) Handler() http.Handler {
 			// what was accepted plus the error that stopped expansion.
 			resp["error"] = err.Error()
 		}
-		writeJSON(w, http.StatusAccepted, resp)
+		WriteJSON(w, http.StatusAccepted, resp)
 	})
 
 	mux.HandleFunc("GET /v1/batch/{id}/report", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		jobs := s.List(ListFilter{Batch: id})
+		jobs := api.List(ListFilter{Batch: r.PathValue("id")})
 		if len(jobs) == 0 {
 			writeError(w, ErrNotFound)
 			return
 		}
-		ServeReport(w, BuildReport(jobs))
+		serveReport(w, BuildReport(jobs))
 	})
 
 	mux.HandleFunc("GET /v1/batch/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		jobs := s.List(ListFilter{Batch: id})
+		jobs := api.List(ListFilter{Batch: id})
 		if len(jobs) == 0 {
 			writeError(w, ErrNotFound)
 			return
@@ -226,19 +240,17 @@ func (s *Service) Handler() http.Handler {
 		for _, j := range jobs {
 			byState[j.State]++
 		}
-		writeJSON(w, http.StatusOK, BatchView{Batch: id, Total: len(jobs), ByState: byState, Jobs: jobs})
+		WriteJSON(w, http.StatusOK, BatchView{Batch: id, Total: len(jobs), ByState: byState, Jobs: jobs})
 	})
-
-	return mux
 }
 
-// ServeReport writes a canonical batch report: its exact Render bytes when
+// serveReport writes a canonical batch report: its exact Render bytes when
 // complete, 409 with the state rollup while jobs are still pending or
-// running. The cluster coordinator serves reports through this same helper,
-// which is what pins standalone and cluster responses to identical bytes.
-func ServeReport(w http.ResponseWriter, rep Report) {
+// running. Standalone and cluster reports both come through here, which is
+// what pins their responses to identical bytes.
+func serveReport(w http.ResponseWriter, rep Report) {
 	if !rep.Complete() {
-		writeJSON(w, http.StatusConflict, map[string]any{
+		WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":    "batch not finished",
 			"by_state": rep.ByState,
 		})
@@ -246,7 +258,7 @@ func ServeReport(w http.ResponseWriter, rep Report) {
 	}
 	raw, err := rep.Render()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -254,17 +266,19 @@ func ServeReport(w http.ResponseWriter, rep Report) {
 	_, _ = w.Write(raw)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// ReadJSON decodes the request body into dst, rejecting unknown fields; on
+// failure it answers 400 and returns false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true
 }
 
-// jsonBufPool recycles the encode buffers of writeJSON. Every response on
+// jsonBufPool recycles the encode buffers of WriteJSON. Every response on
 // the API passes through here — job polling clients hit /v1/jobs at a few
 // hertz per job — so encoding into a pooled buffer instead of a fresh
 // per-response one keeps handler allocations flat. Buffers that ballooned
@@ -275,7 +289,8 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // one-off report payloads.
 const maxPooledJSONBuf = 1 << 20
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
+// WriteJSON answers with body as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, body any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	enc := json.NewEncoder(buf)
@@ -303,5 +318,5 @@ func writeError(w http.ResponseWriter, err error) {
 	default:
 		status = http.StatusBadRequest // validation errors from Resolve/ArchConfig
 	}
-	writeJSON(w, status, errorBody{err.Error()})
+	WriteJSON(w, status, errorBody{err.Error()})
 }

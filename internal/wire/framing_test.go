@@ -144,10 +144,10 @@ func TestSkip(t *testing.T) {
 func FuzzSectionFraming(f *testing.F) {
 	full := frameTwoSections([]byte("snapshot-body"), []byte{0xfe, 0xed})
 	f.Add(full)
-	f.Add(full[:2])            // header only
-	f.Add(full[:6])            // mid length prefix
-	f.Add(full[:len(full)-1])  // last byte torn
-	f.Add([]byte{})            // empty file
+	f.Add(full[:2])                         // header only
+	f.Add(full[:6])                         // mid length prefix
+	f.Add(full[:len(full)-1])               // last byte torn
+	f.Add([]byte{})                         // empty file
 	f.Add([]byte{1, 0, 255, 255, 255, 255}) // length prefix past the end
 	bitflip := append([]byte(nil), full...)
 	bitflip[3] ^= 0x80
