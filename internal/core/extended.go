@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/isa"
@@ -101,13 +103,8 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 	if err != nil {
 		return nil, err
 	}
-	for fromLabel, entryLabel := range v.Transfers {
-		from, ok1 := capProg.SymbolAddr(fromLabel)
-		entry, ok2 := capProg.SymbolAddr(entryLabel)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("core: transfer labels %q -> %q missing from program", fromLabel, entryLabel)
-		}
-		cfg.AddTransfer(from, entry)
+	if err := addTransfers(cfg, capProg, v.Transfers); err != nil {
+		return nil, err
 	}
 	res := &ExtendedResult{
 		Window:         window,
@@ -136,7 +133,7 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 			// in the DAG, which the PHT oracle resolves one test each.
 			var cands []pathfinder.Path
 			for _, term := range dag.Terminals {
-				p, probes, err := resolveDAGPath(m, v, capProg, term, len(ext), opts, oracle)
+				p, probes, err := resolveDAGPath(m, v, capProg, dag, term, len(ext), opts, oracle)
 				res.Probes += probes
 				if err != nil {
 					return nil, fmt.Errorf("core: extended read disambiguation: %w", err)
@@ -152,10 +149,10 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 			res.Path = chosen
 			return res, nil
 		}
-		if dag.Deepest == nil {
+		if dag.Deepest == pathfinder.NoNode {
 			return nil, fmt.Errorf("core: extended read at doublet %d: no consistent history found", j)
 		}
-		climb, probes, err := climbSuffix(m, v, capProg, window, dag.Root, ext, opts, oracle)
+		climb, probes, err := climbSuffix(m, v, capProg, window, dag, ext, opts, oracle)
 		res.Probes += probes
 		if err != nil {
 			return nil, fmt.Errorf("core: extended read suffix at doublet %d: %w", j, err)
@@ -198,6 +195,24 @@ func ExtendedReadPHR(m *cpu.Machine, v Victim, opts ExtendedOptions) (*ExtendedR
 	return nil, fmt.Errorf("core: extended read exceeded MaxDoublets=%d", opts.MaxDoublets)
 }
 
+// addTransfers registers the victim's SYSCALL/EENTER bindings with the CFG
+// in label order. Ranging over the map instead would change the order of
+// TransfersTo from run to run whenever two sites enter one handler, and
+// with it the search's predecessor order and so the order of oracle
+// probes.
+func addTransfers(cfg *pathfinder.CFG, prog *isa.Program, transfers map[string]string) error {
+	for _, fromLabel := range slices.Sorted(maps.Keys(transfers)) {
+		entryLabel := transfers[fromLabel]
+		from, ok1 := prog.SymbolAddr(fromLabel)
+		entry, ok2 := prog.SymbolAddr(entryLabel)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("core: transfer labels %q -> %q missing from program", fromLabel, entryLabel)
+		}
+		cfg.AddTransfer(from, entry)
+	}
+	return nil
+}
+
 // climbSuffix reconstructs the taken-branch suffix (most recent first) by
 // walking the search DAG backward in time from the final state, resolving
 // each ambiguous arrival with the PHT oracle. It stops at the first
@@ -214,7 +229,6 @@ type climbResult struct {
 // branch (the probe point), and how many of those reversals shift out
 // doublets beyond the verified extension (brute-forced as combos).
 type arrivalPlan struct {
-	edge     *pathfinder.PredEdge
 	steps    []pathfinder.Step // taken steps from the node backward; last is conditional when complete
 	unknowns int
 	complete bool // a conditional probe point was reached
@@ -222,11 +236,10 @@ type arrivalPlan struct {
 
 // buildPlan walks backward from a candidate arrival through unique alive
 // predecessors until it finds a conditional-taken step to probe.
-func buildPlan(e *pathfinder.PredEdge, n *pathfinder.Node, extLen, maxUnknown int) arrivalPlan {
-	plan := arrivalPlan{edge: e}
-	depth := n.R
+func buildPlan(dag *pathfinder.DAG, e pathfinder.Edge, n pathfinder.NodeID, extLen, maxUnknown int) arrivalPlan {
+	var plan arrivalPlan
+	depth := dag.R(n)
 	cur := e
-	curNode := n
 	for hops := 0; hops < 4096; hops++ {
 		if cur.HasStep && cur.Step.Taken {
 			if depth >= extLen {
@@ -242,13 +255,7 @@ func buildPlan(e *pathfinder.PredEdge, n *pathfinder.Node, extLen, maxUnknown in
 				return plan
 			}
 		}
-		curNode = cur.From
-		var alive []*pathfinder.PredEdge
-		for i := range curNode.Preds {
-			if curNode.Preds[i].From.Alive {
-				alive = append(alive, &curNode.Preds[i])
-			}
-		}
+		alive := alivePreds(dag, cur.Node)
 		if len(alive) != 1 {
 			return plan // nested ambiguity: cannot extend this probe plan
 		}
@@ -334,30 +341,25 @@ func testPlan(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, s
 // stops at ambiguities it cannot test — nodes beyond the verified
 // extension's reach — returning the sound prefix, which the driver extends
 // before the next climb.
-func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, root *pathfinder.Node, ext []phr.Doublet, opts ExtendedOptions, cache map[instanceKey]bool) (climbResult, int, error) {
+func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg, dag *pathfinder.DAG, ext []phr.Doublet, opts ExtendedOptions, cache map[instanceKey]bool) (climbResult, int, error) {
 	var res climbResult
 	probes := 0
-	n := root
+	n := dag.Root
 	for {
-		var alive []*pathfinder.PredEdge
-		for i := range n.Preds {
-			if n.Preds[i].From.Alive {
-				alive = append(alive, &n.Preds[i])
-			}
-		}
+		alive := alivePreds(dag, n)
 		if len(alive) == 0 {
 			return res, probes, nil
 		}
 		chosen := alive[0]
 		if len(alive) > 1 {
 			tailUnknowns := 0
-			if n.R > len(ext) {
-				tailUnknowns = n.R - len(ext)
+			if r := dag.R(n); r > len(ext) {
+				tailUnknowns = r - len(ext)
 			}
-			var winners, defaults []*pathfinder.PredEdge
+			var winners, defaults []pathfinder.Edge
 			overBudget := false
 			for _, e := range alive {
-				plan := buildPlan(e, n, len(ext), opts.MaxUnknownRun)
+				plan := buildPlan(dag, e, n, len(ext), opts.MaxUnknownRun)
 				if !plan.complete {
 					defaults = append(defaults, e)
 					continue
@@ -387,9 +389,9 @@ func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg
 			case len(winners) > 1:
 				// A PHT hash collision can make a wrong route test positive
 				// alongside the true one; verify each winner's deeper chain.
-				var survivors []*pathfinder.PredEdge
+				var survivors []pathfinder.Edge
 				for _, e := range winners {
-					ok, p, err := chainVerify(m, v, capProg, e.From, len(ext), opts, cache)
+					ok, p, err := chainVerify(m, v, capProg, dag, e.Node, len(ext), opts, cache)
 					probes += p
 					if err != nil {
 						return res, probes, err
@@ -399,45 +401,52 @@ func climbSuffix(m *cpu.Machine, v Victim, capProg *isa.Program, window *phr.Reg
 					}
 				}
 				if len(survivors) != 1 {
-					return res, probes, fmt.Errorf("ambiguous arrivals at %#x: %d routes verify (invariant control flow beyond the PHR window?)", n.Addr, len(survivors))
+					return res, probes, fmt.Errorf("ambiguous arrivals at %#x: %d routes verify (invariant control flow beyond the PHR window?)", dag.Addr(n), len(survivors))
 				}
 				chosen = survivors[0]
 			case len(defaults) == 1:
 				chosen = defaults[0]
 			default:
-				return res, probes, fmt.Errorf("no arrival route at %#x tests positive (%d untestable)", n.Addr, len(defaults))
+				return res, probes, fmt.Errorf("no arrival route at %#x tests positive (%d untestable)", dag.Addr(n), len(defaults))
 			}
 		}
 		if chosen.HasStep && chosen.Step.Taken {
 			res.suffix = append(res.suffix, chosen.Step)
 		}
-		n = chosen.From
+		n = chosen.Node
 	}
+}
+
+// alivePreds returns the edges from n back to its alive predecessors, in
+// DAG order.
+func alivePreds(dag *pathfinder.DAG, n pathfinder.NodeID) []pathfinder.Edge {
+	var alive []pathfinder.Edge
+	for _, e := range dag.Preds(n) {
+		if dag.Alive(e.Node) {
+			alive = append(alive, e)
+		}
+	}
+	return alive
 }
 
 // chainVerify walks backward from a node through unique alive arrivals and
 // oracle-tests up to three conditional-taken instances along the way; a
 // hypothesis reached through a hash-collision false positive has junk
 // registers upstream and fails quickly.
-func chainVerify(m *cpu.Machine, v Victim, capProg *isa.Program, n *pathfinder.Node, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (bool, int, error) {
+func chainVerify(m *cpu.Machine, v Victim, capProg *isa.Program, dag *pathfinder.DAG, n pathfinder.NodeID, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (bool, int, error) {
 	probes := 0
 	tested := 0
 	for tested < 3 {
-		var alive []*pathfinder.PredEdge
-		for i := range n.Preds {
-			if n.Preds[i].From.Alive {
-				alive = append(alive, &n.Preds[i])
-			}
-		}
+		alive := alivePreds(dag, n)
 		if len(alive) != 1 {
 			return true, probes, nil // ambiguity or end: stop verifying here
 		}
 		e := alive[0]
 		if e.HasStep && e.Step.Taken && e.Step.Conditional {
-			if e.From.R > trustDepth {
+			if dag.R(e.Node) > trustDepth {
 				return true, probes, nil
 			}
-			taken, p, err := oracleTaken(m, v, capProg, e.Step.Addr, e.From.Reg, opts, cache)
+			taken, p, err := oracleTaken(m, v, capProg, e.Step.Addr, dag.Reg(e.Node), opts, cache)
 			probes += p
 			if err != nil {
 				return false, probes, err
@@ -447,7 +456,7 @@ func chainVerify(m *cpu.Machine, v Victim, capProg *isa.Program, n *pathfinder.N
 			}
 			tested++
 		}
-		n = e.From
+		n = e.Node
 	}
 	return true, probes, nil
 }
@@ -488,35 +497,36 @@ func oracleTaken(m *cpu.Machine, v Victim, capProg *isa.Program, pc uint64, reg 
 // trustDepth reversals of the final state have fully known registers —
 // deeper ones are taken arbitrarily and re-derived after the extension
 // grows.
-func resolveDAGPath(m *cpu.Machine, v Victim, capProg *isa.Program, start *pathfinder.Node, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (pathfinder.Path, int, error) {
+func resolveDAGPath(m *cpu.Machine, v Victim, capProg *isa.Program, dag *pathfinder.DAG, start pathfinder.NodeID, trustDepth int, opts ExtendedOptions, cache map[instanceKey]bool) (pathfinder.Path, int, error) {
 	var steps []pathfinder.Step
 	probes := 0
+	complete := dag.Complete(start)
 	n := start
-	for len(n.Succs) > 0 {
-		e := n.Succs[0]
-		if len(n.Succs) > 1 && (start.Complete || n.R <= trustDepth) {
-			taken, p, err := oracleTaken(m, v, capProg, n.Addr, n.Reg, opts, cache)
+	for succs := dag.Succs(n); len(succs) > 0; succs = dag.Succs(n) {
+		e := succs[0]
+		if len(succs) > 1 && (complete || dag.R(n) <= trustDepth) {
+			taken, p, err := oracleTaken(m, v, capProg, dag.Addr(n), dag.Reg(n), opts, cache)
 			probes += p
 			if err != nil {
 				return pathfinder.Path{}, probes, err
 			}
 			found := false
-			for _, cand := range n.Succs {
+			for _, cand := range succs {
 				if cand.HasStep && cand.Step.Conditional && cand.Step.Taken == taken {
 					e, found = cand, true
 					break
 				}
 			}
 			if !found {
-				return pathfinder.Path{}, probes, fmt.Errorf("unresolvable junction at %#x (oracle says taken=%v)", n.Addr, taken)
+				return pathfinder.Path{}, probes, fmt.Errorf("unresolvable junction at %#x (oracle says taken=%v)", dag.Addr(n), taken)
 			}
 		}
 		if e.HasStep {
 			steps = append(steps, e.Step)
 		}
-		n = e.To
+		n = e.Node
 	}
-	return pathfinder.Path{Steps: steps, Complete: start.Complete}, probes, nil
+	return pathfinder.Path{Steps: steps, Complete: complete}, probes, nil
 }
 
 // instanceKey identifies one dynamic execution instance of a conditional

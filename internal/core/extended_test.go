@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/isa"
+	"pathfinder/internal/pathfinder"
 	"pathfinder/internal/phr"
 )
 
@@ -194,5 +196,50 @@ func TestExtendedReadPHRWithinWindow(t *testing.T) {
 	vback := res.CaptureProgram.MustSymbol("vback")
 	if got := res.Path.TakenCount(vback); got != 19 {
 		t.Fatalf("back-edge count %d, want 19", got)
+	}
+}
+
+// twoSyscallVictim enters one kernel handler from two SYSCALL sites.
+func twoSyscallVictim() Victim {
+	return Victim{
+		Entry: "ts_entry",
+		Emit: func(a *isa.Assembler) {
+			a.Label("ts_entry")
+			a.Label("ts_sys1")
+			a.Syscall(1)
+			a.Label("ts_sys2")
+			a.Syscall(1)
+			a.Ret()
+			a.Label("ts_handler")
+			a.Jmp("ts_handler_ret")
+			a.Label("ts_handler_ret")
+			a.Ret()
+		},
+		Transfers: map[string]string{"ts_sys2": "ts_handler", "ts_sys1": "ts_handler"},
+	}
+}
+
+// The order of TransfersTo sets the search's predecessor order at a
+// handler entry, and with it the order of oracle probes, so it must not
+// follow map iteration order.
+func TestAddTransfersFixedOrder(t *testing.T) {
+	v := twoSyscallVictim()
+	prog, err := buildCaptureProgram(cpu.New(cpu.Options{}), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := prog.MustSymbol("ts_handler")
+	want := []uint64{prog.MustSymbol("ts_sys1"), prog.MustSymbol("ts_sys2")}
+	for i := 0; i < 20; i++ {
+		cfg, err := pathfinder.Build(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := addTransfers(cfg, prog, v.Transfers); err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.TransfersTo(handler); !slices.Equal(got, want) {
+			t.Fatalf("build %d: TransfersTo(handler) = %#x, want %#x (label order)", i, got, want)
+		}
 	}
 }

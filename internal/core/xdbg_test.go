@@ -67,10 +67,10 @@ func TestXDebugJunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("terminals=%d deepestNil=%v", len(dag.Terminals), dag.Deepest == nil)
+	t.Logf("terminals=%d deepestNil=%v", len(dag.Terminals), dag.Deepest == pathfinder.NoNode)
 	// trace climb
 	oracle := map[instanceKey]bool{}
-	cl, probes, err := climbSuffix(m, v, capProg, window, dag.Root, nil, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3}, oracle)
+	cl, probes, err := climbSuffix(m, v, capProg, window, dag, nil, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3}, oracle)
 	t.Logf("climb: suffix=%d probes=%d err=%v", len(cl.suffix), probes, err)
 	_ = phr.FootprintDoublets
 }
@@ -208,7 +208,7 @@ func TestXDebugIDCT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, _, err := climbSuffix(m, v, capProg, window, dag.Root, ext, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3, Batch: 64}, oracle)
+	cl, _, err := climbSuffix(m, v, capProg, window, dag, ext, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3, Batch: 64}, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pathfinder
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pathfinder/internal/isa"
@@ -130,72 +131,132 @@ type Spec struct {
 	MaxReversals int
 }
 
-// Node is one deduplicated backward-search state: the working register
-// after R reversals, positioned at an instruction. States reached along
+// NodeID names one stored state of a search DAG.
+type NodeID int32
+
+// NoNode is the NodeID of no state: DAG.Deepest when no state truncated.
+const NoNode NodeID = -1
+
+// Edge is one edge of the search DAG seen from one of its ends. Node is the
+// state at the other end: the earlier state in a Preds list, the later one
+// in a Succs list. Step is the branch event between the two states
+// (HasStep false = plain fallthrough or a PHR-invisible transfer).
+type Edge struct {
+	Node    NodeID
+	Step    Step
+	HasStep bool
+}
+
+// node is one deduplicated backward-search state: the working register
+// after r reversals, positioned at instruction idx. States reached along
 // different histories merge here, turning the search tree into a DAG and
 // keeping systematically ambiguous programs (repeated blocks, colliding
-// footprints) tractable.
-type Node struct {
-	Addr uint64   // instruction address of this state
-	Reg  *phr.Reg // PHR value at this execution point
-	R    int      // reversals between here and the final state
-	// Succs lead forward in time toward the final state, annotated with
-	// the branch event between the nodes (HasStep false = plain
-	// fallthrough). A node has at most two successors, and then only at a
-	// conditional branch: its taken and not-taken continuations.
-	Succs []DAGEdge
-	// Preds lead backward in time: every observation-consistent way this
-	// state could have been reached.
-	Preds []PredEdge
-	// Complete marks a node at the entry with a verified zero start.
-	Complete bool
-	// Alive marks nodes from which the backward walk can still reach a
-	// truncation point or a verified entry; dead branches are search
-	// hypotheses that ran out of consistent predecessors.
-	Alive bool
-
-	idx       int
+// footprints) tractable. A node holds no pointer, so the garbage collector
+// never scans a search's arena.
+type node struct {
+	reg       [7]uint64 // phr.Reg.Words of the register at this point
+	idx       int32     // instruction index
+	r         int32     // reversals between here and the final state
+	complete  bool
+	alive     bool
 	truncated bool
-}
-
-// DAGEdge is a forward edge of the search DAG.
-type DAGEdge struct {
-	To      *Node
-	Step    Step
-	HasStep bool
-}
-
-// PredEdge is a backward edge of the search DAG.
-type PredEdge struct {
-	From    *Node // the earlier state
-	Step    Step
-	HasStep bool
 }
 
 // DAG is the full result of a backward search: every observation-consistent
 // execution suffix, shared-substructure-compressed. Terminals are the
 // verified entry states (complete recoveries); Deepest is the best
 // truncated state when no terminal exists.
+//
+// The DAG stores only states that can merge. A state at an instruction
+// reached only by falling through from the instruction after it (see
+// walkedInstrs) has one successor and at most one predecessor, so the
+// search walks it without storing it: the edge from the nearest stored
+// state before a run of such states leads straight to the stored state
+// after the run, carrying the earlier state's step.
 type DAG struct {
-	Root      *Node // the final state the search started from
-	Terminals []*Node
-	Deepest   *Node
+	Root      NodeID   // the final state the search started from
+	Terminals []NodeID // verified entry states, in discovery order
+	Deepest   NodeID   // truncated state with the most reversals, or NoNode
+
+	prog  *isa.Program
+	size  int // register size in doublets
+	nodes []node
+	// Edges in compressed sparse row form: the predecessors of node n are
+	// preds[predOff[n]:predOff[n+1]], its successors succs[succOff[n]:
+	// succOff[n+1]], each list in the order the search linked its edges.
+	predOff, succOff []int32
+	preds, succs     []Edge
 }
 
+// Preds lists the edges back in time from state n: every
+// observation-consistent way n could have been reached.
+func (d *DAG) Preds(n NodeID) []Edge { return d.preds[d.predOff[n]:d.predOff[n+1]] }
+
+// Succs lists the edges forward in time from state n toward the final
+// state. A state has several only where control could have gone several
+// ways: a conditional branch's taken and not-taken continuations, or the
+// targets of a return or an indirect jump.
+func (d *DAG) Succs(n NodeID) []Edge { return d.succs[d.succOff[n]:d.succOff[n+1]] }
+
+// Addr returns the instruction address of state n.
+func (d *DAG) Addr(n NodeID) uint64 { return d.prog.Instrs[d.nodes[n].idx].Addr }
+
+// R returns the number of taken-branch reversals between state n and the
+// final state.
+func (d *DAG) R(n NodeID) int { return int(d.nodes[n].r) }
+
+// Reg returns a fresh copy of the PHR value at state n.
+func (d *DAG) Reg(n NodeID) *phr.Reg {
+	reg := phr.New(d.size)
+	reg.SetWords(d.nodes[n].reg)
+	return reg
+}
+
+// Complete reports whether n is an entry state with a verified zero start.
+func (d *DAG) Complete(n NodeID) bool { return d.nodes[n].complete }
+
+// Alive reports whether the backward walk from n can still reach a
+// truncation point or a verified entry; dead states are search hypotheses
+// that ran out of consistent predecessors.
+func (d *DAG) Alive(n NodeID) bool { return d.nodes[n].alive }
+
 type stateKey struct {
-	idx int
 	reg [7]uint64
-	r   int
+	idx int32
+	r   int32
+}
+
+// item is one queued state to expand. With idx negative it is the stored
+// state node; otherwise it is the walked state at instruction idx, which
+// falls through (directly or via other walked states) into the stored
+// state node and so shares its register and reversal count.
+type item struct {
+	node NodeID
+	idx  int32
+}
+
+// link is one edge as the search found it; freeze lays the links out per
+// node.
+type link struct {
+	from, to NodeID
+	step     Step
+	hasStep  bool
 }
 
 type searcher struct {
-	c     *CFG
-	spec  Spec
-	nodes map[stateKey]*Node
-	queue []*Node
+	c      *CFG
+	spec   Spec
+	reg    *phr.Reg // scratch register for reversals and entry checks
+	entry  int32    // instruction index of spec.Entry, or -1
+	walked []bool   // per instruction: walkedInstrs
+	nodes  []node
+	index  map[stateKey]NodeID
+	links  []link
+	queue  []item
+	states int // stored plus walked states: what MaxNodes caps
 
-	terminals []*Node // complete entry states
-	deepest   *Node   // dead-end state with the most reversals
+	terminals []NodeID // complete entry states
+	deepest   NodeID   // truncated state with the most reversals
 }
 
 // Search recovers the execution paths consistent with the observed PHR.
@@ -210,12 +271,11 @@ func (c *CFG) Search(spec Spec) ([]Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &searcher{spec: spec}
 	if len(dag.Terminals) > 0 {
-		return s.reconstruct(dag.Terminals, true), nil
+		return dag.paths(dag.Terminals, true, spec.MaxPaths), nil
 	}
-	if dag.Deepest != nil {
-		return s.reconstruct([]*Node{dag.Deepest}, false), nil
+	if dag.Deepest != NoNode {
+		return dag.paths([]NodeID{dag.Deepest}, false, spec.MaxPaths), nil
 	}
 	return nil, nil
 }
@@ -230,25 +290,68 @@ func (c *CFG) SearchDAG(spec Spec) (*DAG, error) {
 	if spec.MaxNodes == 0 {
 		spec.MaxNodes = 4 << 20
 	}
-	if spec.MaxPaths == 0 {
-		spec.MaxPaths = 16
-	}
-	s := &searcher{c: c, spec: spec, nodes: make(map[stateKey]*Node)}
-	idx, ok := c.Prog.IndexOf(spec.Final)
+	final, ok := c.Prog.IndexOf(spec.Final)
 	if !ok {
 		return nil, fmt.Errorf("pathfinder: final position %#x is not an instruction", spec.Final)
 	}
-	root := &Node{Addr: spec.Final, idx: idx, Reg: spec.Observed.Clone()}
-	s.nodes[stateKey{idx: idx, reg: root.Reg.Words()}] = root
-	s.queue = append(s.queue, root)
+	s := &searcher{
+		c:       c,
+		spec:    spec,
+		reg:     spec.Observed.Clone(),
+		entry:   -1,
+		index:   make(map[stateKey]NodeID),
+		deepest: NoNode,
+	}
+	if entry, ok := c.Prog.IndexOf(spec.Entry); ok {
+		s.entry = int32(entry)
+	}
+	s.walked = c.walkedInstrs(s.entry, final)
+	root := s.add(int32(final), spec.Observed.Words(), 0)
+	s.queue = append(s.queue, item{node: root, idx: -1})
 	for qi := 0; qi < len(s.queue); qi++ {
-		if len(s.nodes) > spec.MaxNodes {
+		if s.states > spec.MaxNodes {
 			return nil, fmt.Errorf("pathfinder: search exceeded %d states", spec.MaxNodes)
 		}
 		s.expand(s.queue[qi])
 	}
-	s.markAlive()
-	return &DAG{Root: root, Terminals: s.terminals, Deepest: s.deepest}, nil
+	return s.freeze(root), nil
+}
+
+// walkedInstrs marks the instructions whose states the search walks
+// without storing: those reached only by falling through from the
+// instruction after them. No taken edge or transfer arrives at or leaves
+// from such an instruction, and it is not a control instruction, the entry
+// or the final instruction. A state there is created only by the state
+// after it, with that state's register and reversal count, so it can never
+// merge with another state.
+func (c *CFG) walkedInstrs(entry int32, final int) []bool {
+	p := c.Prog
+	walked := make([]bool, len(p.Instrs))
+	for i := range p.Instrs {
+		walked[i] = !p.Instrs[i].IsControl()
+	}
+	unmark := func(addr uint64) {
+		if i, ok := p.IndexOf(addr); ok {
+			walked[i] = false
+		}
+	}
+	for to, edges := range c.edgesTo {
+		unmark(to)
+		for _, e := range edges {
+			unmark(e.From)
+		}
+	}
+	for to, froms := range c.transfersTo {
+		unmark(to)
+		for _, from := range froms {
+			unmark(from)
+		}
+	}
+	if entry >= 0 {
+		walked[entry] = false
+	}
+	walked[final] = false
+	return walked
 }
 
 // known returns how many doublets of the working register are still
@@ -285,63 +388,105 @@ func (s *searcher) zeroKnown(reg *phr.Reg, r int) bool {
 	return true
 }
 
-// link records that predecessor state (idx, reg, r) leads to node via step,
-// creating and enqueueing the predecessor when first seen.
-func (s *searcher) link(node *Node, idx int, reg *phr.Reg, r int, step Step, hasStep bool) {
-	key := stateKey{idx: idx, reg: reg.Words(), r: r}
-	pred, ok := s.nodes[key]
+// add stores a new state and returns its id.
+func (s *searcher) add(idx int32, reg [7]uint64, r int32) NodeID {
+	id := NodeID(len(s.nodes))
+	s.nodes = push(s.nodes, node{reg: reg, idx: idx, r: r})
+	s.index[stateKey{reg: reg, idx: idx, r: r}] = id
+	s.states++
+	return id
+}
+
+// link records that the predecessor state (idx, reg, r) leads to the
+// stored state to via step, creating and enqueueing the predecessor when
+// first seen. A predecessor at a walked instruction is only queued, as a
+// walk item for to: it gets no state, index entry or edge.
+func (s *searcher) link(to NodeID, idx int32, reg [7]uint64, r int32, step Step, hasStep bool) {
+	if s.walked[idx] {
+		s.states++
+		s.queue = push(s.queue, item{node: to, idx: idx})
+		return
+	}
+	from, ok := s.index[stateKey{reg: reg, idx: idx, r: r}]
 	if !ok {
-		pred = &Node{Addr: s.c.Prog.Instrs[idx].Addr, idx: idx, Reg: reg, R: r}
-		s.nodes[key] = pred
-		pos := pred.Addr
-		if pos == s.spec.Entry {
+		from = s.add(idx, reg, r)
+		if idx == s.entry {
 			// A path is complete only when every refill it used was
 			// verified: refills beyond Ext are sound only where the history
 			// position provably precedes the first taken branch (cleared
 			// PHR), bounding the reversal count.
-			verifiable := r <= len(s.spec.Ext)+s.spec.Observed.Size()-phr.FootprintDoublets
-			if verifiable && s.zeroKnown(reg, r) {
-				pred.Complete = true
-				s.terminals = append(s.terminals, pred)
+			verifiable := int(r) <= len(s.spec.Ext)+s.spec.Observed.Size()-phr.FootprintDoublets
+			s.reg.SetWords(reg)
+			if verifiable && s.zeroKnown(s.reg, int(r)) {
+				s.nodes[from].complete = true
+				s.terminals = append(s.terminals, from)
 			}
 		}
-		if !pred.Complete {
-			s.queue = append(s.queue, pred)
+		if !s.nodes[from].complete {
+			s.queue = push(s.queue, item{node: from, idx: -1})
 		}
 	}
-	pred.Succs = append(pred.Succs, DAGEdge{To: node, Step: step, HasStep: hasStep})
-	node.Preds = append(node.Preds, PredEdge{From: pred, Step: step, HasStep: hasStep})
+	s.links = push(s.links, link{from: from, to: to, step: step, hasStep: hasStep})
 }
 
-// expand enumerates the possible predecessors of a state.
-func (s *searcher) expand(node *Node) {
-	r := node.R
-	if s.known(r) <= 0 || (s.spec.MaxReversals > 0 && r >= s.spec.MaxReversals) {
-		// History exhausted or lookahead bound: candidate truncation point.
-		node.truncated = true
-		if s.deepest == nil || r > s.deepest.R {
-			s.deepest = node
+// expand enumerates the possible predecessors of a queued state. A walked
+// state skips the truncation check and the taken and transfer arrivals: it
+// shares the register and reversal count of the stored state after it,
+// which was expanded rather than truncated, and only the fallthrough
+// arrives at its instruction.
+func (s *searcher) expand(it item) {
+	n := s.nodes[it.node] // a copy: link may grow the arena
+	idx := it.idx
+	if idx < 0 {
+		idx = n.idx
+		if s.known(int(n.r)) <= 0 || (s.spec.MaxReversals > 0 && int(n.r) >= s.spec.MaxReversals) {
+			// History exhausted or lookahead bound: candidate truncation point.
+			s.nodes[it.node].truncated = true
+			if s.deepest == NoNode || n.r > s.nodes[s.deepest].r {
+				s.deepest = it.node
+			}
+			return
 		}
-		return
+		s.arrivals(it.node, n)
 	}
-	pos := node.Addr
+
+	// Arrival by falling through from the previous instruction.
+	if idx > 0 {
+		prev := &s.c.Prog.Instrs[idx-1]
+		switch prev.Op {
+		case isa.JMP, isa.CALL, isa.RET, isa.JR, isa.HALT, isa.SYSCALL, isa.EENTER:
+			// cannot fall through
+		case isa.BR:
+			s.link(it.node, idx-1, n.reg, n.r, Step{Addr: prev.Addr, Taken: false, Conditional: true}, true)
+		default:
+			s.link(it.node, idx-1, n.reg, n.r, Step{}, false)
+		}
+	}
+}
+
+// arrivals links the predecessors of stored state id (a copy of which is
+// n) that arrive by a taken branch or a SYSCALL/EENTER transfer.
+func (s *searcher) arrivals(id NodeID, n node) {
+	pos := s.c.Prog.Instrs[n.idx].Addr
+	var top phr.Doublet
+	if int(n.r) < len(s.spec.Ext) {
+		top = s.spec.Ext[n.r]
+	}
+	s.reg.SetWords(n.reg)
+	low := s.reg.Doublet(0)
 
 	// Arrival by a taken branch.
 	for _, e := range s.c.edgesTo[pos] {
-		if phr.Doublet(e.Footprint&3) != node.Reg.Doublet(0) {
+		if phr.Doublet(e.Footprint&3) != low {
 			continue // the paper's lowest-doublet pruning
 		}
 		fromIdx, ok := s.c.Prog.IndexOf(e.From)
 		if !ok {
 			continue
 		}
-		next := node.Reg.Clone()
-		var top phr.Doublet
-		if r < len(s.spec.Ext) {
-			top = s.spec.Ext[r]
-		}
-		next.ReverseUpdate(e.Footprint, top)
-		s.link(node, fromIdx, next, r+1, Step{
+		s.reg.SetWords(n.reg)
+		s.reg.ReverseUpdate(e.Footprint, top)
+		s.link(id, int32(fromIdx), s.reg.Words(), n.r+1, Step{
 			Addr: e.From, Target: pos, Taken: true,
 			Conditional: e.Kind == EdgeCondTaken, Kind: e.Kind,
 		}, true)
@@ -350,75 +495,110 @@ func (s *searcher) expand(node *Node) {
 	// Arrival by a SYSCALL/EENTER transfer (not PHR-visible).
 	for _, from := range s.c.transfersTo[pos] {
 		if idx, ok := s.c.Prog.IndexOf(from); ok {
-			s.link(node, idx, node.Reg, r, Step{}, false)
-		}
-	}
-
-	// Arrival by falling through from the previous instruction.
-	if node.idx > 0 {
-		prev := &s.c.Prog.Instrs[node.idx-1]
-		switch prev.Op {
-		case isa.JMP, isa.CALL, isa.RET, isa.JR, isa.HALT, isa.SYSCALL, isa.EENTER:
-			// cannot fall through
-		case isa.BR:
-			s.link(node, node.idx-1, node.Reg, r, Step{Addr: prev.Addr, Taken: false, Conditional: true}, true)
-		default:
-			s.link(node, node.idx-1, node.Reg, r, Step{}, false)
+			s.link(id, int32(idx), n.reg, n.r, Step{}, false)
 		}
 	}
 }
 
-// markAlive flags every node that can reach a truncation point or a
+// push appends v to s, doubling the capacity when s is full. Past a few
+// hundred elements append grows a slice by a quarter at a time, which for
+// the search's slices of millions of states and edges copies each element
+// about four times over.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s))
+	}
+	return append(s, v)
+}
+
+// freeze lays the links out per node, keeping each node's edges in link
+// order, and marks aliveness.
+func (s *searcher) freeze(root NodeID) *DAG {
+	n := len(s.nodes)
+	d := &DAG{
+		Root:      root,
+		Terminals: s.terminals,
+		Deepest:   s.deepest,
+		prog:      s.c.Prog,
+		size:      s.spec.Observed.Size(),
+		nodes:     s.nodes,
+		predOff:   make([]int32, n+1),
+		succOff:   make([]int32, n+1),
+		preds:     make([]Edge, len(s.links)),
+		succs:     make([]Edge, len(s.links)),
+	}
+	for _, l := range s.links {
+		d.predOff[l.to+1]++
+		d.succOff[l.from+1]++
+	}
+	for i := 1; i <= n; i++ {
+		d.predOff[i] += d.predOff[i-1]
+		d.succOff[i] += d.succOff[i-1]
+	}
+	nextPred := slices.Clone(d.predOff[:n])
+	nextSucc := slices.Clone(d.succOff[:n])
+	for _, l := range s.links {
+		d.preds[nextPred[l.to]] = Edge{Node: l.from, Step: l.step, HasStep: l.hasStep}
+		nextPred[l.to]++
+		d.succs[nextSucc[l.from]] = Edge{Node: l.to, Step: l.step, HasStep: l.hasStep}
+		nextSucc[l.from]++
+	}
+	d.markAlive()
+	return d
+}
+
+// markAlive flags every state that can reach a truncation point or a
 // complete entry state by walking predecessors, by propagating aliveness
-// forward along successor edges from those anchor nodes.
-func (s *searcher) markAlive() {
-	var stack []*Node
-	for _, n := range s.nodes {
-		if n.truncated || n.Complete {
-			n.Alive = true
-			stack = append(stack, n)
+// forward along successor edges from those anchor states.
+func (d *DAG) markAlive() {
+	var stack []NodeID
+	for i := range d.nodes {
+		if n := &d.nodes[i]; n.truncated || n.complete {
+			n.alive = true
+			stack = append(stack, NodeID(i))
 		}
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range n.Succs {
-			if !e.To.Alive {
-				e.To.Alive = true
-				stack = append(stack, e.To)
+		for _, e := range d.Succs(n) {
+			if !d.nodes[e.Node].alive {
+				d.nodes[e.Node].alive = true
+				stack = append(stack, e.Node)
 			}
 		}
 	}
 }
 
-// reconstruct enumerates forward paths from the given start nodes through
-// the successor DAG, up to MaxPaths.
-func (s *searcher) reconstruct(starts []*Node, complete bool) []Path {
+// paths enumerates forward paths from the given start states through the
+// successor lists, up to limit.
+func (d *DAG) paths(starts []NodeID, complete bool, limit int) []Path {
 	var out []Path
 	var steps []Step
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if len(out) >= s.spec.MaxPaths {
+	var walk func(n NodeID)
+	walk = func(n NodeID) {
+		if len(out) >= limit {
 			return
 		}
-		if len(n.Succs) == 0 {
+		succs := d.Succs(n)
+		if len(succs) == 0 {
 			cp := make([]Step, len(steps))
 			copy(cp, steps)
 			out = append(out, Path{Steps: cp, Complete: complete})
 			return
 		}
-		for _, e := range n.Succs {
+		for _, e := range succs {
 			if e.HasStep {
 				steps = append(steps, e.Step)
 			}
-			walk(e.To)
+			walk(e.Node)
 			if e.HasStep {
 				steps = steps[:len(steps)-1]
 			}
 		}
 	}
 	for _, st := range starts {
-		if len(out) >= s.spec.MaxPaths {
+		if len(out) >= limit {
 			break
 		}
 		walk(st)
