@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
-
-	"pathfinder/internal/jpeg"
-	"pathfinder/internal/media"
 	"testing"
 
 	"pathfinder/internal/cpu"
 	"pathfinder/internal/isa"
+	"pathfinder/internal/jpeg"
+	"pathfinder/internal/media"
 	"pathfinder/internal/pathfinder"
 	"pathfinder/internal/phr"
 )
@@ -48,6 +47,38 @@ func chainVictim(trips int64, pattern []byte) Victim {
 	}
 }
 
+// tracedTruth runs capProg from cap_main on a fresh machine with the given
+// seed and returns the victim's taken branches, oldest first: every taken
+// branch after the capture's PHR clear.
+func tracedTruth(t *testing.T, seed int64, v Victim, capProg *isa.Program) []pathfinder.Step {
+	t.Helper()
+	m := cpu.New(cpu.Options{Seed: seed})
+	var truth []pathfinder.Step
+	m.TraceTaken = func(pc, tgt uint64) { truth = append(truth, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
+	if v.Setup != nil {
+		v.Setup(m)
+	}
+	if err := m.Run(capProg, "cap_main"); err != nil {
+		t.Fatal(err)
+	}
+	return truth[m.Arch().PHRSize:]
+}
+
+// checkClimb fails t unless the first n steps of a climbed suffix, most
+// recent first, are the last n taken branches of truth.
+func checkClimb(t *testing.T, suffix, truth []pathfinder.Step, n int) {
+	t.Helper()
+	if n > len(truth) {
+		t.Fatalf("climbed %d steps, truth has %d", n, len(truth))
+	}
+	for i := 0; i < n; i++ {
+		want := truth[len(truth)-1-i]
+		if suffix[i].Addr != want.Addr || suffix[i].Target != want.Target {
+			t.Fatalf("suffix[%d] = %#x->%#x, truth %#x->%#x", i, suffix[i].Addr, suffix[i].Target, want.Addr, want.Target)
+		}
+	}
+}
+
 func TestXDebugJunction(t *testing.T) {
 	const trips = 120
 	pattern := make([]byte, trips)
@@ -56,23 +87,32 @@ func TestXDebugJunction(t *testing.T) {
 	}
 	v := chainVictim(trips, pattern)
 	m := cpu.New(cpu.Options{Seed: 5})
-	capProg, _ := buildCaptureProgram(m, v)
+	capProg, err := buildCaptureProgram(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := tracedTruth(t, 5, v, capProg)
 	window, err := ReadPHR(m, v, ReadPHROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := pathfinder.Build(capProg)
+	cfg, err := pathfinder.Build(capProg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	entry := capProg.MustSymbol("cap_call")
 	dag, err := cfg.SearchDAG(pathfinder.Spec{Observed: window, Entry: entry, Final: entry + 1, MaxReversals: 194})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("terminals=%d deepestNil=%v", len(dag.Terminals), dag.Deepest == pathfinder.NoNode)
-	// trace climb
 	oracle := map[instanceKey]bool{}
 	cl, probes, err := climbSuffix(m, v, capProg, window, dag, nil, ExtendedOptions{Rounds: 6, MaxUnknownRun: 3}, oracle)
-	t.Logf("climb: suffix=%d probes=%d err=%v", len(cl.suffix), probes, err)
-	_ = phr.FootprintDoublets
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("climb: suffix=%d probes=%d", len(cl.suffix), probes)
+	checkClimb(t, cl.suffix, truth, len(cl.suffix))
 }
 
 func TestXDebugFullExtended(t *testing.T) {
@@ -89,13 +129,7 @@ func TestXDebugFullExtended(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("ext=%d complete=%v", len(res.Ext), res.Path.Complete)
-	// verify against truth
-	m2 := cpu.New(cpu.Options{Seed: 5})
-	var fps []pathfinder.Step
-	m2.TraceTaken = func(pc, tgt uint64) { fps = append(fps, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
-	v.Setup(m2)
-	m2.Run(res.CaptureProgram, "cap_main")
-	truth := fps[194:]
+	truth := tracedTruth(t, 5, v, res.CaptureProgram)
 	var rec []pathfinder.Step
 	for _, s := range res.Path.Steps {
 		if s.Taken {
@@ -182,25 +216,30 @@ func xIDCTVictim(nblocks int, coef []jpeg.Block) Victim {
 
 func TestXDebugIDCT(t *testing.T) {
 	img := media.QRLike(24, 24, 7)
-	enc, _ := jpeg.Encode(img.Pix, img.W, img.H, 60)
-	_, blocks, _ := jpeg.DecodeBlocks(enc)
+	enc, err := jpeg.Encode(img.Pix, img.W, img.H, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blocks, err := jpeg.DecodeBlocks(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	v := xIDCTVictim(len(blocks), blocks)
 	m := cpu.New(cpu.Options{Seed: 9})
-	capProg, _ := buildCaptureProgram(m, v)
-
-	// ground truth
-	m2 := cpu.New(cpu.Options{Seed: 9})
-	var truth []pathfinder.Step
-	m2.TraceTaken = func(pc, tgt uint64) { truth = append(truth, pathfinder.Step{Addr: pc, Target: tgt, Taken: true}) }
-	v.Setup(m2)
-	m2.Run(capProg, "cap_main")
-	truth = truth[194:]
+	capProg, err := buildCaptureProgram(m, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := tracedTruth(t, 9, v, capProg)
 
 	window, err := ReadPHR(m, v, ReadPHROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := pathfinder.Build(capProg)
+	cfg, err := pathfinder.Build(capProg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	entry := capProg.MustSymbol("cap_call")
 	oracle := map[instanceKey]bool{}
 	var ext []phr.Doublet
@@ -213,11 +252,6 @@ func TestXDebugIDCT(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("suffix=%d", len(cl.suffix))
-	for i := 0; i < len(cl.suffix) && i < 40; i++ {
-		want := truth[len(truth)-1-i]
-		if cl.suffix[i].Addr != want.Addr || cl.suffix[i].Target != want.Target {
-			t.Fatalf("suffix[%d] = %#x->%#x, truth %#x->%#x", i, cl.suffix[i].Addr, cl.suffix[i].Target, want.Addr, want.Target)
-		}
-	}
+	checkClimb(t, cl.suffix, truth, min(len(cl.suffix), 40))
 	t.Log("suffix prefix matches truth")
 }

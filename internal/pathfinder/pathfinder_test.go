@@ -409,3 +409,43 @@ func TestEdgesToCatalog(t *testing.T) {
 		t.Fatalf("want 2 edges to x, got %d", len(edges))
 	}
 }
+
+func TestSearchDAGRejectsHistoryPastTheKey(t *testing.T) {
+	p := loopProg(t, 0x2000, 5)
+	observed, _ := runTraced(t, p, "entry", nil)
+	cfg, _ := pathfinder.Build(p)
+	spec := pathfinder.Spec{
+		Observed: observed, Entry: p.MustSymbol("entry"), Final: p.MustSymbol("end"),
+		MaxReversals: 8,
+	}
+	// A state key has 18 bits for the reversal count, which reaches the
+	// history's length once a search exhausts it.
+	spec.Ext = make([]phr.Doublet, 1<<18-observed.Size())
+	if _, err := cfg.SearchDAG(spec); err == nil {
+		t.Fatal("search over 2^18 history doublets accepted")
+	}
+	spec.Ext = spec.Ext[1:]
+	if _, err := cfg.SearchDAG(spec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSearchDAGRejectsUnderivableEdges(t *testing.T) {
+	p := ladderProg(t)
+	observed, _ := runTraced(t, p, "entry", ladderSetup)
+	bit, join := p.MustSymbol("bit"), p.MustSymbol("join")
+	for name, add := range map[string]func(c *pathfinder.CFG){
+		// The search derives a taken edge's kind from its instruction and
+		// reads a same-depth edge out of a conditional branch as its
+		// fallthrough.
+		"jump edge from a conditional branch": func(c *pathfinder.CFG) { c.AddIndirectTargets(bit, join) },
+		"transfer from a conditional branch":  func(c *pathfinder.CFG) { c.AddTransfer(bit, join) },
+	} {
+		cfg, _ := pathfinder.Build(p)
+		add(cfg)
+		spec := pathfinder.Spec{Observed: observed, Entry: p.MustSymbol("entry"), Final: p.MustSymbol("end")}
+		if _, err := cfg.SearchDAG(spec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}

@@ -147,19 +147,56 @@ type Edge struct {
 	HasStep bool
 }
 
+// A stored register differs from the search's history only in its low
+// deltaDoublets doublets. The search starts from the observed window and
+// each reversal XORs a footprint into doublets 0 to FootprintDoublets-1,
+// shifts the register right by one doublet and refills the top from the
+// history beyond the window. So if the register after r reversals is the
+// history shifted by r, XOR a delta D below doublet deltaDoublets, the
+// register after the next reversal, with footprint f, is the history
+// shifted by r+1, XOR (D ^ f) >> 1 doublet: again a delta below doublet
+// deltaDoublets. The root's delta is 0.
+const (
+	deltaDoublets = phr.FootprintDoublets - 1
+	deltaBits     = 2 * deltaDoublets
+	// depthBits is the width of the reversal count in a state's key.
+	depthBits = 32 - deltaBits
+)
+
 // node is one deduplicated backward-search state: the working register
 // after r reversals, positioned at instruction idx. States reached along
 // different histories merge here, turning the search tree into a DAG and
 // keeping systematically ambiguous programs (repeated blocks, colliding
-// footprints) tractable. A node holds no pointer, so the garbage collector
-// never scans a search's arena.
+// footprints) tractable. The register is hist[r:] (see searcher.hist) XOR
+// delta in its low deltaDoublets doublets. A node holds no pointer, so the
+// garbage collector never scans a search's arena.
 type node struct {
-	reg       [7]uint64 // phr.Reg.Words of the register at this point
-	idx       int32     // instruction index
-	r         int32     // reversals between here and the final state
+	idx       int32  // instruction index
+	r         int32  // reversals between here and the final state
+	delta     uint16 // register doublets 0 to deltaDoublets-1 XOR hist[r:]
 	complete  bool
 	alive     bool
 	truncated bool
+}
+
+// regDoublet returns doublet p of the register after r reversals with the
+// given delta: hist[p+r], or 0 past the end of hist (the unknown refill),
+// XOR the delta below doublet deltaDoublets.
+func regDoublet(hist []phr.Doublet, p, r int, delta uint16) phr.Doublet {
+	var d phr.Doublet
+	if p+r < len(hist) {
+		d = hist[p+r]
+	}
+	if p < deltaDoublets {
+		d ^= phr.Doublet(delta>>(2*p)) & 3
+	}
+	return d
+}
+
+// keyOf packs a state into the key the search indexes it by. The top bit
+// is set so that no key is 0, which the table keeps for empty slots.
+func keyOf(idx, r int32, delta uint16) uint64 {
+	return 1<<63 | uint64(idx)<<32 | uint64(r)<<deltaBits | uint64(delta)
 }
 
 // DAG is the full result of a backward search: every observation-consistent
@@ -179,7 +216,8 @@ type DAG struct {
 	Deepest   NodeID   // truncated state with the most reversals, or NoNode
 
 	prog  *isa.Program
-	size  int // register size in doublets
+	size  int           // register size in doublets
+	hist  []phr.Doublet // the search's history, for Reg
 	nodes []node
 	// Edges in compressed sparse row form: the predecessors of node n are
 	// preds[predOff[n]:predOff[n+1]], its successors succs[succOff[n]:
@@ -207,8 +245,13 @@ func (d *DAG) R(n NodeID) int { return int(d.nodes[n].r) }
 
 // Reg returns a fresh copy of the PHR value at state n.
 func (d *DAG) Reg(n NodeID) *phr.Reg {
+	nd := d.nodes[n]
+	ds := make([]phr.Doublet, d.size)
+	for p := range ds {
+		ds[p] = regDoublet(d.hist, p, int(nd.r), nd.delta)
+	}
 	reg := phr.New(d.size)
-	reg.SetWords(d.nodes[n].reg)
+	reg.SetDoublets(ds)
 	return reg
 }
 
@@ -220,12 +263,6 @@ func (d *DAG) Complete(n NodeID) bool { return d.nodes[n].complete }
 // that ran out of consistent predecessors.
 func (d *DAG) Alive(n NodeID) bool { return d.nodes[n].alive }
 
-type stateKey struct {
-	reg [7]uint64
-	idx int32
-	r   int32
-}
-
 // item is one queued state to expand. With idx negative it is the stored
 // state node; otherwise it is the walked state at instruction idx, which
 // falls through (directly or via other walked states) into the stored
@@ -236,24 +273,37 @@ type item struct {
 }
 
 // link is one edge as the search found it; freeze lays the links out per
-// node.
+// node and derives each one's step from its two ends.
 type link struct {
 	from, to NodeID
-	step     Step
-	hasStep  bool
+}
+
+// arrival is one way into an instruction that the search follows
+// backward: a taken branch with footprint fp from instruction from, or a
+// SYSCALL/EENTER transfer from it when taken is false.
+type arrival struct {
+	from  int32
+	fp    uint16
+	taken bool
 }
 
 type searcher struct {
-	c      *CFG
-	spec   Spec
-	reg    *phr.Reg // scratch register for reversals and entry checks
-	entry  int32    // instruction index of spec.Entry, or -1
-	walked []bool   // per instruction: walkedInstrs
-	nodes  []node
-	index  map[stateKey]NodeID
-	links  []link
-	queue  []item
-	states int // stored plus walked states: what MaxNodes caps
+	c    *CFG
+	spec Spec
+	// hist is the window's doublets followed by Ext: the register after r
+	// reversals is hist[r:], 0 past its end, XOR a state's delta.
+	hist   []phr.Doublet
+	entry  int32  // instruction index of spec.Entry, or -1
+	walked []bool // per instruction: walkedInstrs
+	// The arrivals into instruction i are arrivals[arrivalOff[i]:
+	// arrivalOff[i+1]], in the order the search links them.
+	arrivalOff []int32
+	arrivals   []arrival
+	nodes      []node
+	index      table
+	links      []link
+	queue      []item
+	states     int // stored plus walked states: what MaxNodes caps
 
 	terminals []NodeID // complete entry states
 	deepest   NodeID   // truncated state with the most reversals
@@ -287,6 +337,10 @@ func (c *CFG) SearchDAG(spec Spec) (*DAG, error) {
 	if spec.Observed == nil {
 		return nil, fmt.Errorf("pathfinder: Spec.Observed required")
 	}
+	size := spec.Observed.Size()
+	if size+len(spec.Ext) >= 1<<depthBits {
+		return nil, fmt.Errorf("pathfinder: %d history doublets, more than the search's %d", size+len(spec.Ext), 1<<depthBits-1)
+	}
 	if spec.MaxNodes == 0 {
 		spec.MaxNodes = 4 << 20
 	}
@@ -297,16 +351,23 @@ func (c *CFG) SearchDAG(spec Spec) (*DAG, error) {
 	s := &searcher{
 		c:       c,
 		spec:    spec,
-		reg:     spec.Observed.Clone(),
+		hist:    spec.Observed.AppendDoublets(make([]phr.Doublet, 0, size+len(spec.Ext))),
 		entry:   -1,
-		index:   make(map[stateKey]NodeID),
+		index:   newTable(1 << 8),
 		deepest: NoNode,
+	}
+	for _, d := range spec.Ext {
+		s.hist = append(s.hist, d&3)
 	}
 	if entry, ok := c.Prog.IndexOf(spec.Entry); ok {
 		s.entry = int32(entry)
 	}
 	s.walked = c.walkedInstrs(s.entry, final)
-	root := s.add(int32(final), spec.Observed.Words(), 0)
+	var err error
+	if s.arrivalOff, s.arrivals, err = c.arrivalLists(); err != nil {
+		return nil, err
+	}
+	root, _ := s.add(int32(final), 0, 0)
 	s.queue = append(s.queue, item{node: root, idx: -1})
 	for qi := 0; qi < len(s.queue); qi++ {
 		if s.states > spec.MaxNodes {
@@ -354,70 +415,114 @@ func (c *CFG) walkedInstrs(entry int32, final int) []bool {
 	return walked
 }
 
-// known returns how many doublets of the working register are still
-// trustworthy after r reversals.
-func (s *searcher) known(r int) int {
-	n := s.spec.Observed.Size()
-	over := r - len(s.spec.Ext)
-	if over > 0 {
-		n -= over
+// takenKind is the kind of every taken edge out of an instruction with
+// operation op.
+func takenKind(op isa.Op) EdgeKind {
+	switch op {
+	case isa.BR:
+		return EdgeCondTaken
+	case isa.CALL:
+		return EdgeCall
+	case isa.RET:
+		return EdgeReturn
 	}
-	return n
+	return EdgeJump
 }
 
-// zeroKnown reports whether the working register is consistent with the
-// cleared-PHR start after r reversals. Position p of the register is
-// trustworthy unless it was refilled by a reversal whose shifted-out
-// doublet is genuinely unknown: refill r' lands at position size-r+r', is
-// oracle-verified for r' < len(Ext), and is *provably zero under this
-// path hypothesis* once its history position exceeds the last branch's
-// footprint reach (positions >= FootprintDoublets). Only the window
-// [size-r+len(Ext), FootprintDoublets) is unverifiable; the Extended Read
-// driver keeps that window empty before accepting a path.
-func (s *searcher) zeroKnown(reg *phr.Reg, r int) bool {
+// arrivalLists lays out, per instruction, the arrivals the search follows
+// backward into it: its taken edges in catalog order, then its transfers,
+// each only when it leaves from an instruction. freeze derives an edge's
+// step from the instruction it leaves, so arrivalLists fails on a taken
+// edge whose kind is not takenKind of that instruction, or a transfer
+// leaving a conditional branch, which would read as its fallthrough.
+func (c *CFG) arrivalLists() ([]int32, []arrival, error) {
+	p := c.Prog
+	off := make([]int32, len(p.Instrs)+1)
+	var arr []arrival
+	for i := range p.Instrs {
+		to := p.Instrs[i].Addr
+		for _, e := range c.edgesTo[to] {
+			from, ok := p.IndexOf(e.From)
+			if !ok {
+				continue
+			}
+			if k := takenKind(p.Instrs[from].Op); k != e.Kind {
+				return nil, nil, fmt.Errorf("pathfinder: %v edge %#x->%#x leaves a %v branch", e.Kind, e.From, to, k)
+			}
+			arr = append(arr, arrival{from: int32(from), fp: e.Footprint, taken: true})
+		}
+		for _, addr := range c.transfersTo[to] {
+			from, ok := p.IndexOf(addr)
+			if !ok {
+				continue
+			}
+			if p.Instrs[from].Op == isa.BR {
+				return nil, nil, fmt.Errorf("pathfinder: transfer %#x->%#x leaves a conditional branch", addr, to)
+			}
+			arr = append(arr, arrival{from: int32(from)})
+		}
+		off[i+1] = int32(len(arr))
+	}
+	return off, arr, nil
+}
+
+// zeroKnown reports whether the register after r reversals with the given
+// delta is consistent with the cleared-PHR start. Position p of the
+// register is trustworthy unless it was refilled by a reversal whose
+// shifted-out doublet is genuinely unknown: refill r' lands at position
+// size-r+r', is oracle-verified for r' < len(Ext), and is *provably zero
+// under this path hypothesis* once its history position exceeds the last
+// branch's footprint reach (positions >= FootprintDoublets). Only the
+// window [size-r+len(Ext), FootprintDoublets) is unverifiable; Extended
+// Read PHR keeps that window empty before accepting a path.
+func (s *searcher) zeroKnown(r int, delta uint16) bool {
 	n := s.spec.Observed.Size()
-	lo := n - r + len(s.spec.Ext) // first untrusted refill position
+	lo := len(s.hist) - r // first untrusted refill position
 	for p := 0; p < n; p++ {
 		if p >= lo && p < phr.FootprintDoublets {
 			continue // genuinely unknown refill; not checkable
 		}
-		if reg.Doublet(p) != 0 {
+		if regDoublet(s.hist, p, r, delta) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// add stores a new state and returns its id.
-func (s *searcher) add(idx int32, reg [7]uint64, r int32) NodeID {
-	id := NodeID(len(s.nodes))
-	s.nodes = push(s.nodes, node{reg: reg, idx: idx, r: r})
-	s.index[stateKey{reg: reg, idx: idx, r: r}] = id
+// add stores the state (idx, r, delta) unless it is stored already, and
+// returns its id and whether it is new.
+func (s *searcher) add(idx, r int32, delta uint16) (NodeID, bool) {
+	key := keyOf(idx, r, delta)
+	id, slot := s.index.find(key)
+	if id != NoNode {
+		return id, false
+	}
+	id = NodeID(len(s.nodes))
+	s.nodes = push(s.nodes, node{idx: idx, r: r, delta: delta})
+	s.index.put(slot, key, id)
 	s.states++
-	return id
+	return id, true
 }
 
-// link records that the predecessor state (idx, reg, r) leads to the
-// stored state to via step, creating and enqueueing the predecessor when
-// first seen. A predecessor at a walked instruction is only queued, as a
-// walk item for to: it gets no state, index entry or edge.
-func (s *searcher) link(to NodeID, idx int32, reg [7]uint64, r int32, step Step, hasStep bool) {
+// link records that the predecessor state (idx, r, delta) leads to the
+// stored state to, creating and enqueueing the predecessor when first
+// seen. A predecessor at a walked instruction is only queued, as a walk
+// item for to: it gets no state, index entry or edge.
+func (s *searcher) link(to NodeID, idx, r int32, delta uint16) {
 	if s.walked[idx] {
 		s.states++
 		s.queue = push(s.queue, item{node: to, idx: idx})
 		return
 	}
-	from, ok := s.index[stateKey{reg: reg, idx: idx, r: r}]
-	if !ok {
-		from = s.add(idx, reg, r)
+	from, fresh := s.add(idx, r, delta)
+	if fresh {
 		if idx == s.entry {
 			// A path is complete only when every refill it used was
 			// verified: refills beyond Ext are sound only where the history
 			// position provably precedes the first taken branch (cleared
 			// PHR), bounding the reversal count.
-			verifiable := int(r) <= len(s.spec.Ext)+s.spec.Observed.Size()-phr.FootprintDoublets
-			s.reg.SetWords(reg)
-			if verifiable && s.zeroKnown(s.reg, int(r)) {
+			verifiable := int(r) <= len(s.hist)-phr.FootprintDoublets
+			if verifiable && s.zeroKnown(int(r), delta) {
 				s.nodes[from].complete = true
 				s.terminals = append(s.terminals, from)
 			}
@@ -426,7 +531,7 @@ func (s *searcher) link(to NodeID, idx int32, reg [7]uint64, r int32, step Step,
 			s.queue = push(s.queue, item{node: from, idx: -1})
 		}
 	}
-	s.links = push(s.links, link{from: from, to: to, step: step, hasStep: hasStep})
+	s.links = push(s.links, link{from: from, to: to})
 }
 
 // expand enumerates the possible predecessors of a queued state. A walked
@@ -439,7 +544,7 @@ func (s *searcher) expand(it item) {
 	idx := it.idx
 	if idx < 0 {
 		idx = n.idx
-		if s.known(int(n.r)) <= 0 || (s.spec.MaxReversals > 0 && int(n.r) >= s.spec.MaxReversals) {
+		if int(n.r) >= len(s.hist) || (s.spec.MaxReversals > 0 && int(n.r) >= s.spec.MaxReversals) {
 			// History exhausted or lookahead bound: candidate truncation point.
 			s.nodes[it.node].truncated = true
 			if s.deepest == NoNode || n.r > s.nodes[s.deepest].r {
@@ -447,55 +552,27 @@ func (s *searcher) expand(it item) {
 			}
 			return
 		}
-		s.arrivals(it.node, n)
+		// Arrival by a taken branch, pruned on the register's lowest
+		// doublet as the paper describes, or by a SYSCALL/EENTER transfer
+		// (not PHR-visible).
+		low := uint16(s.hist[n.r]) ^ n.delta
+		for _, a := range s.arrivals[s.arrivalOff[idx]:s.arrivalOff[idx+1]] {
+			switch {
+			case !a.taken:
+				s.link(it.node, a.from, n.r, n.delta)
+			case (a.fp^low)&3 == 0:
+				s.link(it.node, a.from, n.r+1, (n.delta^a.fp)>>2)
+			}
+		}
 	}
 
 	// Arrival by falling through from the previous instruction.
 	if idx > 0 {
-		prev := &s.c.Prog.Instrs[idx-1]
-		switch prev.Op {
+		switch s.c.Prog.Instrs[idx-1].Op {
 		case isa.JMP, isa.CALL, isa.RET, isa.JR, isa.HALT, isa.SYSCALL, isa.EENTER:
 			// cannot fall through
-		case isa.BR:
-			s.link(it.node, idx-1, n.reg, n.r, Step{Addr: prev.Addr, Taken: false, Conditional: true}, true)
 		default:
-			s.link(it.node, idx-1, n.reg, n.r, Step{}, false)
-		}
-	}
-}
-
-// arrivals links the predecessors of stored state id (a copy of which is
-// n) that arrive by a taken branch or a SYSCALL/EENTER transfer.
-func (s *searcher) arrivals(id NodeID, n node) {
-	pos := s.c.Prog.Instrs[n.idx].Addr
-	var top phr.Doublet
-	if int(n.r) < len(s.spec.Ext) {
-		top = s.spec.Ext[n.r]
-	}
-	s.reg.SetWords(n.reg)
-	low := s.reg.Doublet(0)
-
-	// Arrival by a taken branch.
-	for _, e := range s.c.edgesTo[pos] {
-		if phr.Doublet(e.Footprint&3) != low {
-			continue // the paper's lowest-doublet pruning
-		}
-		fromIdx, ok := s.c.Prog.IndexOf(e.From)
-		if !ok {
-			continue
-		}
-		s.reg.SetWords(n.reg)
-		s.reg.ReverseUpdate(e.Footprint, top)
-		s.link(id, int32(fromIdx), s.reg.Words(), n.r+1, Step{
-			Addr: e.From, Target: pos, Taken: true,
-			Conditional: e.Kind == EdgeCondTaken, Kind: e.Kind,
-		}, true)
-	}
-
-	// Arrival by a SYSCALL/EENTER transfer (not PHR-visible).
-	for _, from := range s.c.transfersTo[pos] {
-		if idx, ok := s.c.Prog.IndexOf(from); ok {
-			s.link(id, int32(idx), n.reg, n.r, Step{}, false)
+			s.link(it.node, idx-1, n.r, n.delta)
 		}
 	}
 }
@@ -521,6 +598,7 @@ func (s *searcher) freeze(root NodeID) *DAG {
 		Deepest:   s.deepest,
 		prog:      s.c.Prog,
 		size:      s.spec.Observed.Size(),
+		hist:      s.hist,
 		nodes:     s.nodes,
 		predOff:   make([]int32, n+1),
 		succOff:   make([]int32, n+1),
@@ -538,13 +616,35 @@ func (s *searcher) freeze(root NodeID) *DAG {
 	nextPred := slices.Clone(d.predOff[:n])
 	nextSucc := slices.Clone(d.succOff[:n])
 	for _, l := range s.links {
-		d.preds[nextPred[l.to]] = Edge{Node: l.from, Step: l.step, HasStep: l.hasStep}
+		step, hasStep := d.step(l)
+		d.preds[nextPred[l.to]] = Edge{Node: l.from, Step: step, HasStep: hasStep}
 		nextPred[l.to]++
-		d.succs[nextSucc[l.from]] = Edge{Node: l.to, Step: l.step, HasStep: l.hasStep}
+		d.succs[nextSucc[l.from]] = Edge{Node: l.to, Step: step, HasStep: hasStep}
 		nextSucc[l.from]++
 	}
 	d.markAlive()
 	return d
+}
+
+// step derives the branch event of link l from the instruction it leaves.
+// A link one reversal deeper is the taken branch from that instruction to
+// the later state's; a same-depth link out of a conditional branch is its
+// not-taken fallthrough; any other same-depth link is a plain fallthrough
+// or a transfer, with no step.
+func (d *DAG) step(l link) (Step, bool) {
+	from, to := d.nodes[l.from], d.nodes[l.to]
+	in := &d.prog.Instrs[from.idx]
+	if from.r > to.r {
+		kind := takenKind(in.Op)
+		return Step{
+			Addr: in.Addr, Target: d.prog.Instrs[to.idx].Addr, Taken: true,
+			Conditional: kind == EdgeCondTaken, Kind: kind,
+		}, true
+	}
+	if in.Op == isa.BR {
+		return Step{Addr: in.Addr, Conditional: true}, true
+	}
+	return Step{}, false
 }
 
 // markAlive flags every state that can reach a truncation point or a
