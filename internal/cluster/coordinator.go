@@ -91,66 +91,22 @@ type workerState struct {
 	warm      map[string]string // warm key → snapshot content hash
 }
 
-// clusterJob is the coordinator's mutable job record, guarded by
-// Coordinator.mu past the immutable header.
-type clusterJob struct {
-	id         string
-	experiment string
-	params     service.Params // resolved
-	batch      string
-	timeout    time.Duration
-
-	state           service.State
-	submitted       time.Time
-	started         time.Time
-	finished        time.Time
-	assignedTo      string
-	leaseExpiry     time.Time
-	assigns         int // accepted assignments consumed
-	workerAttempts  int // attempts the finishing worker reported
-	result          json.RawMessage
-	errMsg          string
-	stats           cpu.Counters
-	cancelRequested bool
+// lease is what the coordinator alone keeps per job.
+type lease struct {
+	expiry  time.Time // when the current assignment lapses; inert once the job is terminal
+	assigns int       // accepted assignments consumed
 }
 
-// view projects the job; caller holds Coordinator.mu.
-func (j *clusterJob) view() service.JobView {
-	v := service.JobView{
-		ID:         j.id,
-		Experiment: j.experiment,
-		Params:     j.params,
-		Batch:      j.batch,
-		State:      j.state,
-		Submitted:  j.submitted,
-		Attempts:   j.workerAttempts,
-		Result:     j.result,
-		Error:      j.errMsg,
-		Worker:     j.assignedTo,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
-		if !j.started.IsZero() {
-			v.DurationMS = j.finished.Sub(j.started).Milliseconds()
-		}
-	}
-	if j.stats != (cpu.Counters{}) {
-		s := j.stats
-		v.SimStats = &s
-	}
-	return v
-}
+// clusterJob is the coordinator's record in its job table.
+type clusterJob = service.Job[lease]
 
-// Coordinator owns the cluster job table, the pending queue, the worker
-// directory, and the dispatch loop that pushes assignments to workers.
+// Coordinator owns a job table, the pending queue, the worker directory,
+// and the dispatch loop that pushes assignments to workers. The embedded
+// Table supplies Submit, SubmitSweep, NewBatch, Get and List.
 type Coordinator struct {
+	*service.Table[lease]
+
 	cfg     CoordinatorConfig
-	reg     *service.Registry
 	log     *slog.Logger
 	now     func() time.Time
 	client  *http.Client
@@ -159,12 +115,9 @@ type Coordinator struct {
 	peers   *service.KeyedBreaker
 
 	mu            sync.Mutex
-	jobs          map[string]*clusterJob
-	order         []string // submission order
 	pending       []string // unassigned job IDs, FIFO
 	workers       map[string]*workerState
 	affinity      map[string]map[string]time.Time // warm group → worker → last success
-	seq           uint64
 	closed        bool
 	starvedSince  time.Time // pending jobs but no assignable worker since
 	degraded      bool      // currently shedding to in-process execution
@@ -219,62 +172,51 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.PeerBreakerCooldown = 5 * time.Second
 	}
 
+	var (
+		journal  *service.Journal
+		replayed []*service.ReplayedJob
+		maxSeq   uint64
+	)
+	if cfg.DataDir != "" {
+		var err error
+		if journal, replayed, maxSeq, err = service.OpenJournal(filepath.Join(cfg.DataDir, "coordinator.jsonl"), cfg.Logger); err != nil {
+			return nil, err
+		}
+	}
 	c := &Coordinator{
 		cfg:      cfg,
-		reg:      cfg.Registry,
 		log:      cfg.Logger,
 		now:      cfg.Clock,
 		client:   cfg.HTTPClient,
+		journal:  journal,
 		peers:    service.NewKeyedBreaker("peer", cfg.PeerBreakerThreshold, cfg.PeerBreakerCooldown, cfg.Clock),
-		jobs:     make(map[string]*clusterJob),
 		workers:  make(map[string]*workerState),
 		affinity: make(map[string]map[string]time.Time),
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
+	c.Table = service.NewTable(service.TableConfig[lease]{
+		Lock: &c.mu, JobPrefix: "cjob-", BatchPrefix: "cbatch-",
+		Registry: cfg.Registry, Journal: journal, Logger: cfg.Logger, Clock: cfg.Clock,
+		DefaultTimeout: cfg.DefaultTimeout, QueueBound: cfg.MaxPending,
+		Admit: c.admit,
+		Submitted: func(string) {
+			c.metrics.submitted.Add(1)
+			c.kickDispatch()
+		},
+	})
 	c.metrics = newCoordMetrics(c)
 
-	// Journal replay restores terminal jobs intact and re-queues the rest
-	// unassigned, with a fresh assignment budget: a crash invalidates every
-	// lease. Workers keep resending unacked results across the restart, so
-	// jobs that finished during the outage converge without re-execution.
+	// Replay re-queues every unfinished job unassigned, with a fresh
+	// assignment budget: a crash invalidates every lease. Workers keep
+	// resending unacked results across the restart, so jobs that finished
+	// during the outage converge without re-execution.
+	c.Restore(replayed, maxSeq, func(j *clusterJob, _ *service.ReplayedJob) {
+		c.pending = append(c.pending, j.ID)
+	})
+	c.metrics.recovered.Add(uint64(len(c.pending)))
 	if cfg.DataDir != "" {
-		journal, replayed, maxSeq, err := service.OpenJournal(filepath.Join(cfg.DataDir, "coordinator.jsonl"), cfg.Logger)
-		if err != nil {
-			return nil, err
-		}
-		c.journal = journal
-		c.seq = maxSeq
-		recovered := 0
-		for _, r := range replayed {
-			j := &clusterJob{
-				id:         r.ID,
-				experiment: r.Experiment,
-				params:     r.Params,
-				batch:      r.Batch,
-				timeout:    r.Timeout,
-				submitted:  r.Submitted,
-			}
-			if j.timeout <= 0 {
-				j.timeout = cfg.DefaultTimeout
-			}
-			if r.Finished {
-				j.state = r.State
-				j.errMsg = r.Error
-				j.result = r.Result
-				j.stats = r.Stats
-				j.finished = r.FinishedAt
-				j.started = r.FinishedAt
-			} else {
-				j.state = service.StatePending
-				c.pending = append(c.pending, j.id)
-				recovered++
-			}
-			c.jobs[j.id] = j
-			c.order = append(c.order, j.id)
-		}
-		c.metrics.recovered.Add(uint64(recovered))
-		c.log.Info("coordinator journal replayed", "jobs", len(replayed), "recovered", recovered)
+		c.log.Info("coordinator journal replayed", "jobs", len(replayed), "recovered", len(c.pending))
 	}
 
 	c.wg.Add(1)
@@ -338,132 +280,17 @@ func (c *Coordinator) loop() {
 	}
 }
 
-// Registry is the experiment registry submissions validate against.
-func (c *Coordinator) Registry() *service.Registry { return c.reg }
-
-// Submit validates against the registry, records the job and queues it for
-// assignment. Mirrors service.Service.Submit semantics.
-func (c *Coordinator) Submit(experiment string, p service.Params, batch string, timeout time.Duration) (service.JobView, error) {
-	resolved, err := c.reg.Resolve(experiment, p)
-	if err != nil {
-		return service.JobView{}, err
-	}
-	if timeout <= 0 {
-		timeout = c.cfg.DefaultTimeout
-	}
-
-	c.mu.Lock()
+// admit queues a new job for assignment, or refuses it after Shutdown or
+// when the pending list is at its bound. Caller holds c.mu.
+func (c *Coordinator) admit(j *clusterJob) error {
 	if c.closed {
-		c.mu.Unlock()
-		return service.JobView{}, service.ErrDraining
+		return service.ErrDraining
 	}
 	if len(c.pending) >= c.cfg.MaxPending {
-		c.mu.Unlock()
-		return service.JobView{}, service.ErrQueueFull
+		return service.ErrQueueFull
 	}
-	c.seq++
-	j := &clusterJob{
-		id:         fmt.Sprintf("cjob-%06d", c.seq),
-		experiment: experiment,
-		params:     resolved,
-		batch:      batch,
-		timeout:    timeout,
-		state:      service.StatePending,
-		submitted:  c.now(),
-	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.pending = append(c.pending, j.id)
-	c.journal.Append(service.JournalRecord{
-		Op: service.OpSubmit, Job: j.id, Time: j.submitted,
-		Experiment: experiment, Params: &resolved, Batch: batch,
-		TimeoutMS: timeout.Milliseconds(),
-	})
-	v := j.view()
-	c.mu.Unlock()
-
-	c.metrics.submitted.Add(1)
-	c.kickDispatch()
-	c.log.Info("cluster job submitted", "job", j.id, "experiment", experiment, "batch", batch)
-	return v, nil
-}
-
-// SubmitSweep expands archs × seeds over base params into one batch,
-// mirroring service.Service.SubmitSweep.
-func (c *Coordinator) SubmitSweep(experiment string, base service.Params, archs []string, seeds []int64, timeout time.Duration) (string, []service.JobView, error) {
-	if len(archs) == 0 {
-		archs = []string{base.Arch}
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{base.Seed}
-	}
-	for _, a := range archs {
-		if _, err := service.ArchConfig(a); err != nil {
-			return "", nil, err
-		}
-	}
-	if _, err := c.reg.Resolve(experiment, base); err != nil {
-		return "", nil, err
-	}
-	if n := len(archs) * len(seeds); n > c.cfg.MaxPending {
-		return "", nil, fmt.Errorf("%w: sweep of %d jobs exceeds pending bound %d", service.ErrQueueFull, n, c.cfg.MaxPending)
-	}
-
-	batch := c.NewBatch()
-	views := make([]service.JobView, 0, len(archs)*len(seeds))
-	for _, a := range archs {
-		for _, seed := range seeds {
-			p := base
-			p.Arch = a
-			p.Seed = seed
-			v, err := c.Submit(experiment, p, batch, timeout)
-			if err != nil {
-				return batch, views, err
-			}
-			views = append(views, v)
-		}
-	}
-	return batch, views, nil
-}
-
-// NewBatch allocates a batch ID from the job sequence.
-func (c *Coordinator) NewBatch() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	return fmt.Sprintf("cbatch-%06d", c.seq)
-}
-
-// Get returns one job's view.
-func (c *Coordinator) Get(id string) (service.JobView, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return service.JobView{}, service.ErrNotFound
-	}
-	return j.view(), nil
-}
-
-// List returns matching jobs in submission order.
-func (c *Coordinator) List(f service.ListFilter) []service.JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]service.JobView, 0, len(c.order))
-	for _, id := range c.order {
-		j := c.jobs[id]
-		if f.State != "" && j.state != f.State {
-			continue
-		}
-		if f.Batch != "" && j.batch != f.Batch {
-			continue
-		}
-		if f.Experiment != "" && j.experiment != f.Experiment {
-			continue
-		}
-		out = append(out, j.view())
-	}
-	return out
+	c.pending = append(c.pending, j.ID)
+	return nil
 }
 
 // Cancel aborts a job: an unassigned pending job finalizes immediately; an
@@ -472,38 +299,18 @@ func (c *Coordinator) List(f service.ListFilter) []service.JobView {
 func (c *Coordinator) Cancel(id string) (service.JobView, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
+	j := c.JobLocked(id)
+	if j == nil {
 		return service.JobView{}, service.ErrNotFound
 	}
-	if j.state.Terminal() {
-		return j.view(), service.ErrFinished
+	if j.State.Terminal() {
+		return j.View(), service.ErrFinished
 	}
-	j.cancelRequested = true
-	if j.assignedTo == "" {
-		c.finalizeLocked(j, service.StateCancelled, "", nil, cpu.Counters{}, 0)
+	j.CancelRequested = true
+	if j.Worker == "" {
+		c.FinishLocked(j, service.StateCancelled, "", nil, cpu.Counters{})
 	}
-	return j.view(), nil
-}
-
-// finalizeLocked moves a job to a terminal state. Caller holds c.mu.
-func (c *Coordinator) finalizeLocked(j *clusterJob, st service.State, errMsg string, result json.RawMessage, stats cpu.Counters, workerAttempts int) {
-	j.state = st
-	j.errMsg = errMsg
-	j.result = result
-	j.stats = stats
-	j.workerAttempts = workerAttempts
-	j.finished = c.now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	// assignedTo is kept: a terminal job's view shows which worker ran it
-	// (the scheduler ignores terminal jobs, so the stale lease is inert).
-	j.leaseExpiry = time.Time{}
-	c.journal.Append(service.JournalRecord{
-		Op: service.OpFinish, Job: j.id, Time: j.finished,
-		State: st, Error: errMsg, Result: result, Stats: stats,
-	})
+	return j.View(), nil
 }
 
 // affinityGroup is the warm-routing key: jobs in the same group share
@@ -520,7 +327,7 @@ func affinityGroup(experiment string, p service.Params) string {
 
 // noteAffinityLocked records a successful completion for warm routing.
 func (c *Coordinator) noteAffinityLocked(j *clusterJob, worker string) {
-	g := affinityGroup(j.experiment, j.params)
+	g := affinityGroup(j.Experiment, j.Params)
 	byWorker := c.affinity[g]
 	if byWorker == nil {
 		byWorker = make(map[string]time.Time)
@@ -542,20 +349,19 @@ func (c *Coordinator) expireLeases() {
 			continue
 		}
 		for id := range w.inflight {
-			if j := c.jobs[id]; j != nil && !j.state.Terminal() && j.assignedTo == name {
+			if j := c.JobLocked(id); j != nil && !j.State.Terminal() && j.Worker == name {
 				c.requeueLocked(j, fmt.Sprintf("worker %s expired", name))
 			}
 		}
 		delete(c.workers, name)
 		c.log.Warn("worker expired", "worker", name, "last_seen", w.lastSeen)
 	}
-	for _, id := range c.order {
-		j := c.jobs[id]
+	for j := range c.JobsLocked() {
 		// Degraded-mode jobs run in this process and hold no lease.
-		if j.assignedTo == degradedWorker {
+		if j.Worker == degradedWorker {
 			continue
 		}
-		if j.assignedTo != "" && !j.state.Terminal() && now.After(j.leaseExpiry) {
+		if j.Worker != "" && !j.State.Terminal() && now.After(j.Own.expiry) {
 			c.requeueLocked(j, "lease expired")
 		}
 	}
@@ -564,25 +370,25 @@ func (c *Coordinator) expireLeases() {
 // requeueLocked returns an assigned job to the pending queue — or finalizes
 // it failed once the assignment budget is spent. Caller holds c.mu.
 func (c *Coordinator) requeueLocked(j *clusterJob, reason string) {
-	if w := c.workers[j.assignedTo]; w != nil {
-		delete(w.inflight, j.id)
+	if w := c.workers[j.Worker]; w != nil {
+		delete(w.inflight, j.ID)
 	}
-	worker := j.assignedTo
-	j.assignedTo = ""
-	j.leaseExpiry = time.Time{}
-	if j.assigns >= c.cfg.MaxAssigns {
-		c.finalizeLocked(j, service.StateFailed,
-			fmt.Sprintf("%s after %d assignment(s), budget %d exhausted", reason, j.assigns, c.cfg.MaxAssigns),
-			nil, cpu.Counters{}, 0)
+	worker := j.Worker
+	j.Worker = ""
+	j.Own.expiry = time.Time{}
+	if j.Own.assigns >= c.cfg.MaxAssigns {
+		c.FinishLocked(j, service.StateFailed,
+			fmt.Sprintf("%s after %d assignment(s), budget %d exhausted", reason, j.Own.assigns, c.cfg.MaxAssigns),
+			nil, cpu.Counters{})
 		return
 	}
-	j.state = service.StatePending
-	j.started = time.Time{}
+	j.State = service.StatePending
+	j.Started = time.Time{}
 	// Requeue at the front: a reassigned job is older than anything pending.
-	c.pending = append([]string{j.id}, c.pending...)
-	c.journal.Append(service.JournalRecord{Op: service.OpRequeue, Job: j.id, Time: c.now(), Worker: worker, Reason: reason})
+	c.pending = append([]string{j.ID}, c.pending...)
+	c.journal.Append(service.JournalRecord{Op: service.OpRequeue, Job: j.ID, Time: c.now(), Worker: worker, Reason: reason})
 	c.metrics.reassigned.Add(1)
-	c.log.Warn("cluster job requeued", "job", j.id, "worker", worker, "reason", reason, "assigns", j.assigns)
+	c.log.Warn("cluster job requeued", "job", j.ID, "worker", worker, "reason", reason, "assigns", j.Own.assigns)
 }
 
 // assignment is one dispatch decision, executed outside the lock.
@@ -593,7 +399,7 @@ type assignment struct {
 	req    RunRequest
 }
 
-// degradedWorker is the assignedTo marker for jobs the coordinator runs
+// degradedWorker is the Worker marker for jobs the coordinator runs
 // in-process under degraded mode.
 const degradedWorker = "coordinator"
 
@@ -609,8 +415,8 @@ func (c *Coordinator) dispatch() {
 	var local []*clusterJob
 	var remaining []string
 	for _, id := range c.pending {
-		j := c.jobs[id]
-		if j == nil || j.state != service.StatePending || j.assignedTo != "" || j.state.Terminal() {
+		j := c.JobLocked(id)
+		if j == nil || j.State != service.StatePending || j.Worker != "" {
 			continue // cancelled or already handled
 		}
 		w := c.pickWorkerLocked(j, now)
@@ -618,18 +424,18 @@ func (c *Coordinator) dispatch() {
 			remaining = append(remaining, id)
 			continue
 		}
-		j.assignedTo = w.name
-		j.leaseExpiry = now.Add(c.cfg.LeaseTTL)
-		w.inflight[j.id] = struct{}{}
+		j.Worker = w.name
+		j.Own.expiry = now.Add(c.cfg.LeaseTTL)
+		w.inflight[j.ID] = struct{}{}
 		work = append(work, assignment{
 			job:    j,
 			worker: w.name,
 			addr:   w.addr,
 			req: RunRequest{
-				ID:         j.id,
-				Experiment: j.experiment,
-				Params:     j.params,
-				TimeoutMS:  j.timeout.Milliseconds(),
+				ID:         j.ID,
+				Experiment: j.Experiment,
+				Params:     j.Params,
+				TimeoutMS:  j.Timeout.Milliseconds(),
 			},
 		})
 	}
@@ -650,19 +456,19 @@ func (c *Coordinator) dispatch() {
 			c.degraded = true
 			var rest []string
 			for _, id := range c.pending {
-				j := c.jobs[id]
-				if j == nil || j.state != service.StatePending || j.assignedTo != "" {
+				j := c.JobLocked(id)
+				if j == nil || j.State != service.StatePending || j.Worker != "" {
 					continue
 				}
 				if c.localInflight+len(local) >= c.cfg.MaxInflightPerWorker {
 					rest = append(rest, id)
 					continue
 				}
-				j.assignedTo = degradedWorker
-				j.state = service.StateRunning
-				j.started = now
-				j.assigns++
-				c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.id, Time: now, Worker: degradedWorker})
+				j.Worker = degradedWorker
+				j.State = service.StateRunning
+				j.Started = now
+				j.Own.assigns++
+				c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.ID, Time: now, Worker: degradedWorker})
 				local = append(local, j)
 			}
 			c.pending = rest
@@ -672,7 +478,7 @@ func (c *Coordinator) dispatch() {
 	c.mu.Unlock()
 
 	for _, j := range local {
-		c.log.Warn("degraded mode: running job in-process", "job", j.id)
+		c.log.Warn("degraded mode: running job in-process", "job", j.ID)
 		go c.runLocal(j)
 	}
 	if len(work) == 0 {
@@ -707,49 +513,38 @@ func (c *Coordinator) runLocal(j *clusterJob) {
 		c.kickDispatch()
 	}()
 
-	exp, ok := c.reg.Get(j.experiment)
 	var (
-		result any
-		stats  cpu.Counters
-		err    error
+		raw   json.RawMessage
+		stats cpu.Counters
+		err   error
 	)
-	if !ok || exp.Run == nil {
-		err = fmt.Errorf("experiment %q not runnable on the coordinator", j.experiment)
+	if exp, ok := c.Registry().Get(j.Experiment); ok {
+		ctx, cancel := context.WithTimeout(context.Background(), j.Timeout)
+		raw, stats, err = service.Execute(ctx, exp.Run, j.Params)
+		cancel()
 	} else {
-		ctx, cancel := context.WithTimeout(context.Background(), j.timeout)
-		func() {
-			defer cancel()
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("experiment panicked: %v", r)
-				}
-			}()
-			result, stats, err = exp.Run(ctx, j.params)
-		}()
-	}
-	var raw json.RawMessage
-	if err == nil {
-		raw, err = json.Marshal(result)
+		err = fmt.Errorf("experiment %q not runnable on the coordinator", j.Experiment)
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j.state.Terminal() {
+	if j.State.Terminal() {
 		return
 	}
 	st := service.StateDone
 	errMsg := ""
-	if j.cancelRequested {
+	if j.CancelRequested {
 		st, raw = service.StateCancelled, nil
 	} else if err != nil {
-		st, errMsg, raw = service.StateFailed, err.Error(), nil
+		st, errMsg = service.StateFailed, err.Error()
 	}
-	c.finalizeLocked(j, st, errMsg, raw, stats, 1)
+	j.Attempts = 1
+	c.FinishLocked(j, st, errMsg, raw, stats)
 	if st == service.StateDone {
 		c.metrics.degradedRuns.Add(1)
 	}
 	c.metrics.results.Add(1, string(st))
-	c.log.Info("degraded-mode job finished", "job", j.id, "state", string(st))
+	c.log.Info("degraded-mode job finished", "job", j.ID, "state", string(st))
 }
 
 // pickWorkerLocked selects the destination: least-loaded among the job's
@@ -759,7 +554,7 @@ func (c *Coordinator) runLocal(j *clusterJob) {
 // probe. Iteration is name-sorted so ties break deterministically. Caller
 // holds c.mu.
 func (c *Coordinator) pickWorkerLocked(j *clusterJob, now time.Time) *workerState {
-	holders := c.affinity[affinityGroup(j.experiment, j.params)]
+	holders := c.affinity[affinityGroup(j.Experiment, j.Params)]
 
 	names := make([]string, 0, len(c.workers))
 	for name := range c.workers {
@@ -807,7 +602,7 @@ func (c *Coordinator) pickWorkerLocked(j *clusterJob, now time.Time) *workerStat
 		}
 		if c.peers.Allow(name) == nil {
 			c.metrics.probes.Add(1)
-			c.log.Info("probing quarantined worker", "worker", name, "job", j.id)
+			c.log.Info("probing quarantined worker", "worker", name, "job", j.ID)
 			return w
 		}
 	}
@@ -827,7 +622,7 @@ func (c *Coordinator) notePeerFailureLocked(name, class, reason string) {
 	c.metrics.quarantines.Add(1)
 	if w := c.workers[name]; w != nil {
 		for id := range w.inflight {
-			if j := c.jobs[id]; j != nil && !j.state.Terminal() && j.assignedTo == name {
+			if j := c.JobLocked(id); j != nil && !j.State.Terminal() && j.Worker == name {
 				c.requeueLocked(j, fmt.Sprintf("worker %s quarantined (%s)", name, class))
 			}
 		}
@@ -872,15 +667,15 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 	requeue := func(a assignment, saturated bool) {
 		j := a.job
 		if w := c.workers[worker]; w != nil {
-			delete(w.inflight, j.id)
+			delete(w.inflight, j.ID)
 			if saturated {
 				w.saturated = true
 			}
 		}
-		if !j.state.Terminal() && j.assignedTo == worker {
-			j.assignedTo = ""
-			j.leaseExpiry = time.Time{}
-			c.pending = append([]string{j.id}, c.pending...)
+		if !j.State.Terminal() && j.Worker == worker {
+			j.Worker = ""
+			j.Own.expiry = time.Time{}
+			c.pending = append([]string{j.ID}, c.pending...)
 		}
 	}
 
@@ -910,27 +705,27 @@ func (c *Coordinator) sendAssignments(batch []assignment) {
 	}
 	for _, a := range batch {
 		j := a.job
-		rr := byID[j.id]
+		rr := byID[j.ID]
 		switch {
 		case rr.Accepted:
 			c.peers.Record(worker, true)
-			if j.state.Terminal() || j.assignedTo != worker {
+			if j.State.Terminal() || j.Worker != worker {
 				continue // raced with a result or a concurrent requeue
 			}
-			j.assigns++
-			c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.id, Time: c.now(), Worker: worker})
+			j.Own.assigns++
+			c.journal.Append(service.JournalRecord{Op: service.OpAssign, Job: j.ID, Time: c.now(), Worker: worker})
 			c.metrics.assigned.Add(1, worker)
-			c.log.Info("cluster job assigned", "job", j.id, "worker", worker, "assign", j.assigns)
+			c.log.Info("cluster job assigned", "job", j.ID, "worker", worker, "assign", j.Own.assigns)
 		case rr.Saturated:
 			requeue(a, true)
 			c.metrics.backpressure.Add(1)
-			c.log.Info("worker saturated, job requeued", "job", j.id, "worker", worker)
+			c.log.Info("worker saturated, job requeued", "job", j.ID, "worker", worker)
 		default:
 			// Reachable but not accepting this job (rejected or missing from
 			// the reply) — treat like backpressure, not sickness.
 			requeue(a, false)
 			c.metrics.assignErrors.Add(1)
-			c.log.Warn("assignment rejected, job requeued", "job", j.id, "worker", worker, "reason", rr.Error)
+			c.log.Warn("assignment rejected, job requeued", "job", j.ID, "worker", worker, "reason", rr.Error)
 		}
 	}
 }
@@ -974,8 +769,8 @@ func (c *Coordinator) handleHeartbeat(hb Heartbeat) HeartbeatReply {
 	}
 	var cancels []string
 	for id := range w.inflight {
-		j := c.jobs[id]
-		if j == nil || j.state.Terminal() || j.assignedTo != hb.Worker {
+		j := c.JobLocked(id)
+		if j == nil || j.State.Terminal() || j.Worker != hb.Worker {
 			delete(w.inflight, id)
 			continue
 		}
@@ -986,20 +781,20 @@ func (c *Coordinator) handleHeartbeat(hb Heartbeat) HeartbeatReply {
 			// Leave the lease to expire on its own rather than guessing.
 			continue
 		}
-		j.leaseExpiry = now.Add(c.cfg.LeaseTTL)
-		if st == service.StateRunning && j.state == service.StatePending {
-			j.state = service.StateRunning
-			j.started = now
+		j.Own.expiry = now.Add(c.cfg.LeaseTTL)
+		if st == service.StateRunning && j.State == service.StatePending {
+			j.State = service.StateRunning
+			j.Started = now
 		}
-		if j.cancelRequested {
+		if j.CancelRequested {
 			cancels = append(cancels, id)
 		}
 	}
 	// Jobs the worker reports but no longer owns (lease lost, job finished
 	// elsewhere): cancel them so the worker stops spending cycles.
 	for id := range reported {
-		j := c.jobs[id]
-		if j == nil || j.state.Terminal() || j.assignedTo != hb.Worker {
+		j := c.JobLocked(id)
+		if j == nil || j.State.Terminal() || j.Worker != hb.Worker {
 			cancels = append(cancels, id)
 		}
 	}
@@ -1019,11 +814,11 @@ func (c *Coordinator) handleResults(p ResultsPush) ResultsReply {
 	c.mu.Lock()
 	for _, r := range p.Results {
 		reply.Acked = append(reply.Acked, r.ID)
-		j := c.jobs[r.ID]
+		j := c.JobLocked(r.ID)
 		if j == nil {
 			continue
 		}
-		if j.state.Terminal() {
+		if j.State.Terminal() {
 			c.metrics.dupResults.Add(1)
 			continue
 		}
@@ -1034,27 +829,28 @@ func (c *Coordinator) handleResults(p ResultsPush) ResultsReply {
 		// always valid (the drivers are deterministic, so it is identical
 		// to what the new owner will produce), but a stale owner's failure
 		// or relayed cancellation must not clobber the live assignment.
-		if j.assignedTo != p.Worker && r.State != service.StateDone {
+		if j.Worker != p.Worker && r.State != service.StateDone {
 			continue
 		}
 		if w := c.workers[p.Worker]; w != nil {
 			delete(w.inflight, r.ID)
 		}
 		st := r.State
-		if j.cancelRequested {
+		if j.CancelRequested {
 			st = service.StateCancelled
 		}
 		var stats cpu.Counters
 		if r.Stats != nil {
 			stats = *r.Stats
 		}
-		j.assignedTo = p.Worker // credit the worker that actually finished
-		c.finalizeLocked(j, st, r.Error, r.Result, stats, r.Attempts)
+		j.Worker = p.Worker // credit the worker that actually finished
+		j.Attempts = r.Attempts
+		c.FinishLocked(j, st, r.Error, r.Result, stats)
 		if st == service.StateDone {
 			c.noteAffinityLocked(j, p.Worker)
 		}
 		c.metrics.results.Add(1, string(st))
-		c.log.Info("cluster job finished", "job", j.id, "worker", p.Worker, "state", string(st))
+		c.log.Info("cluster job finished", "job", j.ID, "worker", p.Worker, "state", string(st))
 	}
 	c.mu.Unlock()
 	c.kickDispatch()
@@ -1116,13 +912,7 @@ func (c *Coordinator) Status() StatusView {
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sv := StatusView{Jobs: make(map[service.State]int, 5), Pending: len(c.pending), Degraded: c.degraded}
-	for _, st := range service.States() {
-		sv.Jobs[st] = 0
-	}
-	for _, j := range c.jobs {
-		sv.Jobs[j.state]++
-	}
+	sv := StatusView{Jobs: c.CountsLocked(), Pending: len(c.pending), Degraded: c.degraded}
 	for _, name := range slices.Sorted(maps.Keys(c.workers)) {
 		w := c.workers[name]
 		keys := slices.Sorted(maps.Keys(w.warm))

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -152,14 +151,4 @@ func defaultHTTPClient() *http.Client {
 	tr.MaxIdleConns = 128
 	tr.MaxIdleConnsPerHost = 16
 	return &http.Client{Transport: tr}
-}
-
-// drainBody discards and closes a response body so the transport can reuse
-// the connection; nil-safe.
-func drainBody(resp *http.Response) {
-	if resp == nil || resp.Body == nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
 }

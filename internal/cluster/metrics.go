@@ -49,12 +49,9 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		emit(uint64(live))
 	})
 	gauge("pathfinderd_cluster_jobs", "cluster jobs by lifecycle state", []string{"state"}, func(emit metrics.Emit) {
-		counts := make(map[service.State]uint64, 5)
-		for _, j := range c.jobs {
-			counts[j.state]++
-		}
+		counts := c.CountsLocked()
 		for _, st := range service.States() {
-			emit(counts[st], string(st))
+			emit(uint64(counts[st]), string(st))
 		}
 	})
 	gauge("pathfinderd_cluster_pending", "jobs waiting for assignment", nil, func(emit metrics.Emit) { emit(uint64(len(c.pending))) })

@@ -364,21 +364,6 @@ func ReadPHT(m *cpu.Machine, pc uint64, target *phr.Reg, probes int) (int, error
 	return int(m.Branch(aliasAddr).Mispredicted), nil
 }
 
-// probePHRCollision executes one not-taken probe of the aliased branch at
-// (pc, cand) and reports whether it mispredicted — the collision test of
-// Figure 5. The caller interleaves victim runs between probes.
-func probePHRCollision(m *cpu.Machine, pc uint64, cand *phr.Reg) (bool, error) {
-	p, aliasAddr, err := aliasedBranchProgram(m, pc, cand, []bool{false})
-	if err != nil {
-		return false, err
-	}
-	before := m.Branch(aliasAddr).Mispredicted
-	if err := m.Run(p, "main"); err != nil {
-		return false, err
-	}
-	return m.Branch(aliasAddr).Mispredicted > before, nil
-}
-
 // RunAliased executes a conditional branch aliasing victimPC with the given
 // path history once per scheduled outcome, returning how many executions
 // mispredicted. It is the raw measurement behind Write_PHT/Read_PHT, also

@@ -21,11 +21,6 @@ import (
 const (
 	VictimBase   = 0x0100_0000
 	AttackerBase = 0x4000_0000
-
-	// AliasBase is where attacker branches that must collide with a victim
-	// branch are placed: AliasBase | (victimPC & 0xffff) shares all
-	// PHT-relevant address bits with the victim PC (§5, Figure 5).
-	AliasBase = 0x7000_0000
 )
 
 // Victim describes code under attack. Emit writes the victim's instructions

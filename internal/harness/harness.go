@@ -93,10 +93,6 @@ type Options struct {
 	// offline profiling step — and faults only the per-trial machines.
 	Faults *faultinject.Profile
 
-	// Retry is the bounded-attempt policy for the fallible drivers; the
-	// zero value selects the historical three immediate attempts.
-	Retry Retry
-
 	// noWarmCache turns the warm-state cache (warmcache.go) off for this
 	// run. The cache trades time, never outcomes, so only this package's
 	// tests set it, to compare cache-on reports against a cache-off
@@ -293,7 +289,8 @@ type ReadPHRReport struct {
 // index — and shard across the options' worker pool; per-trial outcomes
 // merge in index order, so the report does not depend on Parallelism. A
 // trial whose capture or read errors is retried on a reseeded machine under
-// the options' Retry policy; exhausted trials count as Failures.
+// the zero Retry policy (three immediate attempts); exhausted trials count
+// as Failures.
 func ReadPHRRandomEval(ctx context.Context, opts Options, trials, doublets int) (*ReadPHRReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -308,7 +305,7 @@ func ReadPHRRandomEval(ctx context.Context, opts Options, trials, doublets int) 
 		b := bp.get(opts.cpu(seed))
 		for t := lo; t < hi; t++ {
 			j := t - lo
-			rerr := opts.Retry.Do(ctx, seed+int64(t), func(attempt int) error {
+			rerr := Retry{}.Do(ctx, seed+int64(t), func(attempt int) error {
 				m := bp.lane(b, j, opts.cpu(seed+int64(t)+retryReseed*int64(attempt)))
 				// The written value is the trial's identity: fixed across
 				// attempts, only the machine seed is redrawn.
@@ -379,8 +376,8 @@ type ExtendedReport struct {
 // numbers of taken branches (within and beyond the PHR window) have their
 // entire control-flow history recovered and compared against ground truth.
 // A case whose recovery errors is retried on a reseeded machine under the
-// options' Retry policy; an exhausted case records its error and the sweep
-// continues.
+// zero Retry policy (three immediate attempts); an exhausted case records
+// its error and the sweep continues.
 func ExtendedReadEval(ctx context.Context, opts Options, trips []int) (*ExtendedReport, error) {
 	seed := opts.seed(DefaultFig5Seed)
 	rep := &ExtendedReport{}
@@ -390,7 +387,7 @@ func ExtendedReadEval(ctx context.Context, opts Options, trips []int) (*Extended
 			return nil, err
 		}
 		var res ExtendedEvalResult
-		rerr := opts.Retry.Do(ctx, seed+int64(i), func(attempt int) error {
+		rerr := Retry{}.Do(ctx, seed+int64(i), func(attempt int) error {
 			aseed := seed + int64(i) + retryReseed*int64(attempt)
 			m := cpu.New(opts.cpu(aseed))
 			// The victim pattern is the case's identity: fixed across
@@ -501,7 +498,7 @@ type Fig6Result struct {
 
 // Fig6PathfinderAES reproduces Figure 6: recover the AES victim's runtime
 // CFG and loop trip count from its PHR. A failed recovery is retried on a
-// reseeded machine under the options' Retry policy; the result is a single
+// reseeded machine under the zero Retry policy; the result is a single
 // unit of work, so exhausting the budget returns the last error rather than
 // a degraded report.
 func Fig6PathfinderAES(ctx context.Context, opts Options) (*Fig6Result, error) {
@@ -515,7 +512,7 @@ func Fig6PathfinderAES(ctx context.Context, opts Options) (*Fig6Result, error) {
 	}
 	var res *Fig6Result
 	var stats cpu.Counters
-	err := opts.Retry.Do(ctx, seed, func(attempt int) error {
+	err := Retry{}.Do(ctx, seed, func(attempt int) error {
 		m := cpu.New(opts.cpu(seed + retryReseed*int64(attempt)))
 		a, err := attack.NewAESAttack(m, key)
 		if err != nil {
@@ -568,7 +565,7 @@ type Fig7Report struct {
 // image set at the given edge size and JPEG quality. Images shard across the
 // options' worker pool, each on machines seeded by the image index. An image
 // whose extended read fails is retried on a reseeded machine under the
-// options' Retry policy (predictor interference occasionally leaves a
+// zero Retry policy (predictor interference occasionally leaves a
 // doublet below the read threshold — the §4.2 read is itself probabilistic
 // — and a fresh machine seed redraws every training coin in the capture);
 // if every attempt fails the sweep records the error in that image's result
@@ -599,7 +596,7 @@ func Fig7ImageRecovery(ctx context.Context, opts Options, size, quality, maxImag
 				return err
 			}
 			var res *attack.ImageResult
-			rerr := opts.Retry.Do(ctx, seed+int64(i), func(attempt int) error {
+			rerr := Retry{}.Do(ctx, seed+int64(i), func(attempt int) error {
 				// The 1000-stride attempt reseed predates the shared Retry
 				// policy; it is kept so the recorded goldens stay valid.
 				tm := bp.lane(bat, i-lo, opts.cpu(seed+int64(i)+1000*int64(attempt)))
@@ -821,7 +818,7 @@ func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (
 		}
 		for t := lo; t < hi; t++ {
 			j := t - lo
-			rerr := opts.Retry.Do(ctx, seed+int64(t), func(attempt int) error {
+			rerr := Retry{}.Do(ctx, seed+int64(t), func(attempt int) error {
 				tco := trialCPU(t, attempt)
 				// Attempt 0 of a warm group runs on the lane exactly as the
 				// group entry prepared it; retries (and cold groups) rebuild

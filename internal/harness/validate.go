@@ -2,9 +2,9 @@ package harness
 
 import "fmt"
 
-// OptionsError reports an Options field whose value no driver can honour.
-// It is the typed form the service layer matches on to map bad requests to
-// HTTP 400 instead of a 500.
+// OptionsError reports an Options field whose value no driver can honour,
+// as a type errors.As can match. The service never sees one for a job: its
+// registry rejects the same values at submission.
 type OptionsError struct {
 	Field  string // Options field name, e.g. "BatchSize"
 	Value  int    // the rejected value

@@ -464,21 +464,6 @@ func (r *Reg) IsZero() bool {
 // as a map key for registers of equal size.
 func (r *Reg) Words() [7]uint64 { return r.w }
 
-// SetWords loads the register from a packed representation returned by
-// Words of a register of the same size. Bits beyond the register size are
-// dropped. Like the other structural mutators it invalidates the fold
-// cache, so callers that reuse one scratch register for many unrelated
-// values pay no incremental-fold bookkeeping.
-func (r *Reg) SetWords(w [7]uint64) {
-	r.invalidateFolds()
-	r.w = w
-	for i := r.words(); i < maxWords; i++ {
-		r.w[i] = 0
-	}
-	r.mask()
-	r.gen++
-}
-
 // Doublets returns a copy of the doublet contents, index 0 most recent.
 func (r *Reg) Doublets() []Doublet {
 	return r.AppendDoublets(make([]Doublet, 0, r.size))

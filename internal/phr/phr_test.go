@@ -161,40 +161,6 @@ func TestSetDoubletsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetWordsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ds := make([]Doublet, 194)
-	for i := range ds {
-		ds[i] = Doublet(rng.Intn(4))
-	}
-	src := New(194)
-	src.SetDoublets(ds)
-
-	// A register with live fold-cache state must drop it: folds after
-	// SetWords match a register that never had another value.
-	r := New(194)
-	r.Fold(34, 8)
-	r.FoldMix(66, 12)
-	r.UpdateBranch(0x1234, 0x5678)
-	gen := r.Gen()
-	r.SetWords(src.Words())
-	if !r.Equal(src) || r.Gen() == gen {
-		t.Fatalf("SetWords: equal=%v gen %d -> %d", r.Equal(src), gen, r.Gen())
-	}
-	if r.Fold(34, 8) != src.Fold(34, 8) || r.FoldMix(66, 12) != src.FoldMix(66, 12) {
-		t.Fatal("folds after SetWords differ from the source register's")
-	}
-
-	// Bits beyond a smaller register's size are dropped.
-	small := New(93)
-	small.SetWords(src.Words())
-	want := New(93)
-	want.SetDoublets(ds[:93])
-	if small.Words() != want.Words() {
-		t.Fatalf("SetWords into 93 doublets kept bits beyond the size:\n got %x\nwant %x", small.Words(), want.Words())
-	}
-}
-
 func TestFoldDistinguishesHistories(t *testing.T) {
 	// Folding must map equal registers equally and, overwhelmingly, unequal
 	// low histories to unequal folds for at least one (histLen,width) probe.

@@ -2,10 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -93,46 +90,4 @@ func BenchmarkSweep16Pool(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runSweep16(b, runtime.GOMAXPROCS(0))
 	}
-}
-
-// TestEmitBenchArtifact writes BENCH_service.json at the repo root. Gated
-// behind an environment variable so regular test runs stay fast:
-//
-//	PATHFINDERD_EMIT_BENCH=1 go test ./internal/service -run TestEmitBenchArtifact
-func TestEmitBenchArtifact(t *testing.T) {
-	if os.Getenv("PATHFINDERD_EMIT_BENCH") == "" {
-		t.Skip("set PATHFINDERD_EMIT_BENCH=1 to emit BENCH_service.json")
-	}
-	workers := runtime.GOMAXPROCS(0)
-	seq := runSweep16(t, 1)
-	pool := runSweep16(t, workers)
-
-	artifact := struct {
-		Benchmark    string  `json:"benchmark"`
-		Jobs         int     `json:"jobs"`
-		Workers      int     `json:"workers"`
-		GOMAXPROCS   int     `json:"gomaxprocs"`
-		SequentialNS int64   `json:"sequential_ns"`
-		PoolNS       int64   `json:"pool_ns"`
-		Speedup      float64 `json:"speedup"`
-		Note         string  `json:"note"`
-	}{
-		Benchmark:    "16-job table2+fig4 sweep, 1 worker vs GOMAXPROCS workers",
-		Jobs:         16,
-		Workers:      workers,
-		GOMAXPROCS:   workers,
-		SequentialNS: seq.Nanoseconds(),
-		PoolNS:       pool.Nanoseconds(),
-		Speedup:      float64(seq) / float64(pool),
-		Note:         "speedup tracks available cores; on a single-CPU host it is ~1x",
-	}
-	raw, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("..", "..", "BENCH_service.json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("sequential %v, pool(%d) %v, speedup %.2fx -> %s", seq, workers, pool, artifact.Speedup, path)
 }

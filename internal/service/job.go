@@ -33,34 +33,35 @@ func States() []State {
 	return []State{StatePending, StateRunning, StateDone, StateFailed, StateCancelled}
 }
 
-// job is the service-internal mutable record. All fields past the
-// immutable header are guarded by Service.mu.
-type job struct {
-	id         string
-	experiment string
-	params     Params
-	batch      string
-	timeout    time.Duration
+// Job is one record of a Table: the fields the standalone Service and the
+// cluster Coordinator both keep, plus Own, the owner's private state. Past
+// the immutable header, every field is guarded by the owner's mutex.
+type Job[X any] struct {
+	ID         string
+	Experiment string
+	Params     Params // resolved
+	Batch      string
+	Timeout    time.Duration
 
-	state     State
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	result    json.RawMessage
-	errMsg    string
-	stats     cpu.Counters
-	attempts  int    // worker pickups so far (including the current one)
-	lastErr   string // error that parked the job on a retry timer
+	State     State
+	Submitted time.Time
+	Started   time.Time
+	Finished  time.Time
+	Result    json.RawMessage
+	Error     string
+	Stats     cpu.Counters
+	Attempts  int    // service: worker pickups so far; coordinator: what the finishing worker reported
+	Worker    string // cluster only: the worker holding or last holding the lease
 
-	// cancel aborts the in-flight run; non-nil only while running.
-	cancel func()
-	// cancelRequested pins the terminal state to cancelled even if the
-	// runner manages to finish before observing ctx.Done().
-	cancelRequested bool
+	// CancelRequested pins the terminal state to cancelled even if the run
+	// manages to finish before it observes the cancellation.
+	CancelRequested bool
+
+	Own X
 }
 
 // JobView is the immutable JSON projection of a job, safe to hand out
-// after the service lock is released.
+// after the owner's lock is released.
 type JobView struct {
 	ID         string          `json:"id"`
 	Experiment string          `json:"experiment"`
@@ -78,30 +79,31 @@ type JobView struct {
 	Worker     string          `json:"worker,omitempty"` // cluster only: the worker holding or last holding the lease
 }
 
-// view snapshots the job; the caller must hold Service.mu.
-func (j *job) view() JobView {
+// View snapshots the job; the caller holds the owner's mutex.
+func (j *Job[X]) View() JobView {
 	v := JobView{
-		ID:         j.id,
-		Experiment: j.experiment,
-		Params:     j.params,
-		Batch:      j.batch,
-		State:      j.state,
-		Submitted:  j.submitted,
-		Attempts:   j.attempts,
-		Result:     j.result,
-		Error:      j.errMsg,
+		ID:         j.ID,
+		Experiment: j.Experiment,
+		Params:     j.Params,
+		Batch:      j.Batch,
+		State:      j.State,
+		Submitted:  j.Submitted,
+		Attempts:   j.Attempts,
+		Result:     j.Result,
+		Error:      j.Error,
+		Worker:     j.Worker,
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !j.Started.IsZero() {
+		t := j.Started
 		v.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !j.Finished.IsZero() {
+		t := j.Finished
 		v.Finished = &t
-		v.DurationMS = j.finished.Sub(j.started).Milliseconds()
+		v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
 	}
-	if j.stats != (cpu.Counters{}) {
-		s := j.stats
+	if j.Stats != (cpu.Counters{}) {
+		s := j.Stats
 		v.SimStats = &s
 	}
 	return v

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -85,12 +84,14 @@ type Config struct {
 	ResultCacheSize int
 }
 
-// Service owns the job table, the bounded queue, and the worker pool. All
+// Service owns a job table, the bounded queue, and the worker pool. All
 // experiment execution flows through it; the HTTP layer in server.go is a
-// thin translation onto these methods.
+// thin translation onto these methods. The embedded Table supplies Submit,
+// SubmitSweep, NewBatch, Get, List and StateCounts.
 type Service struct {
+	*Table[runState]
+
 	cfg     Config
-	reg     *Registry
 	log     *slog.Logger
 	metrics *serviceMetrics
 	now     func() time.Time
@@ -103,12 +104,18 @@ type Service struct {
 	wg    sync.WaitGroup
 
 	mu          sync.Mutex
-	jobs        map[string]*job
-	order       []string // submission order, for stable listings
-	seq         uint64
 	draining    bool
 	retryTimers map[string]*time.Timer // pending re-enqueues, by job ID
 }
+
+// runState is what the service alone keeps per job.
+type runState struct {
+	cancel  func() // aborts the in-flight run; non-nil only while running
+	lastErr string // error that parked the job on a retry timer
+}
+
+// job is the service's record in its table.
+type job = Job[runState]
 
 // New builds an in-memory Service and starts its worker pool. Durability
 // requires Open; New panics if Config.DataDir is set, because silently
@@ -191,7 +198,6 @@ func Open(cfg Config) (*Service, error) {
 
 	s := &Service{
 		cfg:         cfg,
-		reg:         cfg.Registry,
 		log:         cfg.Logger,
 		now:         cfg.Clock,
 		breaker:     NewKeyedBreaker("experiment", cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
@@ -199,12 +205,18 @@ func Open(cfg Config) (*Service, error) {
 		journal:     jr,
 		results:     newResultCache(cfg.ResultCacheSize),
 		queue:       make(chan *job, depth),
-		jobs:        make(map[string]*job),
 		retryTimers: make(map[string]*time.Timer),
 	}
+	s.Table = NewTable(TableConfig[runState]{
+		Lock: &s.mu, JobPrefix: "job-", BatchPrefix: "batch-",
+		Registry: cfg.Registry, Journal: jr, Logger: cfg.Logger, Clock: cfg.Clock,
+		DefaultTimeout: cfg.DefaultTimeout, QueueBound: cfg.QueueDepth,
+		Gate:      s.breaker.Allow,
+		Admit:     s.admit,
+		Submitted: func(experiment string) { s.metrics.submitted.Add(1, experiment) },
+	})
 	s.metrics = newServiceMetrics(s)
-	s.seq = maxSeq
-	recovered := s.install(replayed)
+	recovered := s.install(replayed, maxSeq)
 
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -218,81 +230,48 @@ func Open(cfg Config) (*Service, error) {
 // install rebuilds the job table from replayed journal state and re-queues
 // the unfinished jobs, returning how many were re-queued. Called before the
 // workers start, so no locking is needed yet.
-func (s *Service) install(replayed []*ReplayedJob) int {
+func (s *Service) install(replayed []*ReplayedJob, maxSeq uint64) int {
 	recovered := 0
+	s.Restore(replayed, maxSeq, func(j *job, r *ReplayedJob) {
+		if j.Attempts >= s.cfg.MaxAttempts {
+			// The crash consumed the last attempt; re-running would loop a
+			// crashing job forever.
+			j.Started = r.LastStart
+			s.FinishLocked(j, StateFailed, fmt.Sprintf("recovered after crash: %d journaled start(s) exhausted the attempt budget of %d",
+				j.Attempts, s.cfg.MaxAttempts), nil, j.Stats)
+			s.log.Warn("job finalized on recovery", "job", j.ID, "reason", j.Error)
+			return
+		}
+		s.queue <- j // capacity reserved above
+		recovered++
+		s.log.Info("job re-queued on recovery", "job", j.ID, "experiment", j.Experiment, "attempts_used", j.Attempts)
+	})
 	// Successes re-seed the result cache in finish order, not submission
 	// order: the live process stored each result when its job finished, so
 	// when the journal holds more successes than the cache holds entries,
 	// the restart must keep the most recently *finished* ones — the same
 	// survivors the LRU had before the crash — not the most recently
 	// submitted. Oldest-first puts reproduce that order exactly.
-	var reseed []*job
+	var reseed []*ReplayedJob
 	for _, r := range replayed {
-		j := &job{
-			id:         r.ID,
-			experiment: r.Experiment,
-			params:     r.Params,
-			batch:      r.Batch,
-			timeout:    r.Timeout,
-			submitted:  r.Submitted,
-			attempts:   r.Starts,
+		if s.results != nil && r.Finished && r.State == StateDone && len(r.Result) > 0 {
+			reseed = append(reseed, r)
 		}
-		if j.timeout <= 0 {
-			j.timeout = s.cfg.DefaultTimeout
-		}
-		switch {
-		case r.Finished:
-			j.state = r.State
-			j.errMsg = r.Error
-			j.result = r.Result
-			j.stats = r.Stats
-			j.started = r.LastStart
-			j.finished = r.FinishedAt
-			if j.started.IsZero() {
-				j.started = j.finished
-			}
-			if s.results != nil && j.state == StateDone && len(j.result) > 0 {
-				reseed = append(reseed, j)
-			}
-		case r.Starts >= s.cfg.MaxAttempts:
-			// The crash consumed the last attempt; re-running would loop a
-			// crashing job forever.
-			j.state = StateFailed
-			j.errMsg = fmt.Sprintf("recovered after crash: %d journaled start(s) exhausted the attempt budget of %d",
-				r.Starts, s.cfg.MaxAttempts)
-			j.started = r.LastStart
-			j.finished = s.now()
-			if j.started.IsZero() {
-				j.started = j.finished
-			}
-			s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: j.state, Error: j.errMsg})
-			s.log.Warn("job finalized on recovery", "job", j.id, "reason", j.errMsg)
-		default:
-			j.state = StatePending
-			s.queue <- j // capacity reserved above
-			recovered++
-			s.log.Info("job re-queued on recovery", "job", j.id, "experiment", j.experiment, "attempts_used", j.attempts)
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 	}
 	sort.SliceStable(reseed, func(i, k int) bool {
-		if !reseed[i].finished.Equal(reseed[k].finished) {
-			return reseed[i].finished.Before(reseed[k].finished)
+		if !reseed[i].FinishedAt.Equal(reseed[k].FinishedAt) {
+			return reseed[i].FinishedAt.Before(reseed[k].FinishedAt)
 		}
-		return reseed[i].id < reseed[k].id // total order even with equal stamps
+		return reseed[i].ID < reseed[k].ID // total order even with equal stamps
 	})
-	for _, j := range reseed {
-		if key, ok := resultKeyFor(j.experiment, j.params); ok {
-			s.results.put(key, &resultEntry{result: j.result, stats: j.stats})
+	for _, r := range reseed {
+		if key, ok := resultKeyFor(r.Experiment, r.Params); ok {
+			s.results.put(key, &resultEntry{result: r.Result, stats: r.Stats})
 		}
 	}
 	s.metrics.recovered.Add(uint64(recovered))
 	return recovered
 }
-
-// Registry exposes the experiment registry (tests register extra specs).
-func (s *Service) Registry() *Registry { return s.reg }
 
 // Metrics is the service's metrics registry, served at GET /metrics; a
 // cluster worker registers its own families on it.
@@ -304,162 +283,19 @@ func (s *Service) Workers() int { return s.cfg.Workers }
 // QueueDepth returns the number of jobs waiting in the queue right now.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// Submit validates, records, and enqueues one job. timeout <= 0 selects the
-// service default. The returned view is the job's pending snapshot.
-func (s *Service) Submit(experiment string, p Params, batch string, timeout time.Duration) (JobView, error) {
-	resolved, err := s.reg.Resolve(experiment, p)
-	if err != nil {
-		return JobView{}, err
-	}
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if err := s.breaker.Allow(experiment); err != nil {
-		return JobView{}, err
-	}
-
-	s.mu.Lock()
+// admit queues a new job, or refuses it while draining or when the queue
+// is full. It runs under s.mu, which Shutdown also holds to flip draining
+// before it closes the queue, so the send never hits a closed channel.
+func (s *Service) admit(j *job) error {
 	if s.draining {
-		s.mu.Unlock()
-		return JobView{}, ErrDraining
+		return ErrDraining
 	}
-	s.seq++
-	j := &job{
-		id:         fmt.Sprintf("job-%06d", s.seq),
-		experiment: experiment,
-		params:     resolved,
-		batch:      batch,
-		timeout:    timeout,
-		state:      StatePending,
-		submitted:  s.now(),
-	}
-	// Reserve queue space while holding the lock so the job table and the
-	// queue can't disagree about admission.
 	select {
 	case s.queue <- j:
+		return nil
 	default:
-		s.seq--
-		s.mu.Unlock()
-		return JobView{}, ErrQueueFull
+		return ErrQueueFull
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.journal.Append(JournalRecord{
-		Op: OpSubmit, Job: j.id, Time: j.submitted,
-		Experiment: experiment, Params: &resolved, Batch: batch,
-		TimeoutMS: timeout.Milliseconds(),
-	})
-	v := j.view()
-	s.mu.Unlock()
-
-	s.metrics.submitted.Add(1, experiment)
-	s.log.Info("job submitted", "job", j.id, "experiment", experiment, "batch", batch)
-	return v, nil
-}
-
-// SubmitSweep expands a parameter sweep — the cross product of the given
-// microarchitectures and seeds over a base Params — into one job per point,
-// all tagged with the same batch ID. Empty sweep axes default to the base
-// value, so a sweep over only seeds or only archs works naturally.
-func (s *Service) SubmitSweep(experiment string, base Params, archs []string, seeds []int64, timeout time.Duration) (string, []JobView, error) {
-	if len(archs) == 0 {
-		archs = []string{base.Arch}
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{base.Seed}
-	}
-	// Validate every axis value up front: a sweep admits all points or none.
-	for _, a := range archs {
-		if _, err := ArchConfig(a); err != nil {
-			return "", nil, err
-		}
-	}
-	if _, err := s.reg.Resolve(experiment, base); err != nil {
-		return "", nil, err
-	}
-	if n, cap := len(archs)*len(seeds), s.cfg.QueueDepth; n > cap {
-		return "", nil, fmt.Errorf("%w: sweep of %d jobs exceeds queue depth %d", ErrQueueFull, n, cap)
-	}
-
-	batch := s.NewBatch()
-	views := make([]JobView, 0, len(archs)*len(seeds))
-	for _, a := range archs {
-		for _, seed := range seeds {
-			p := base
-			p.Arch = a
-			p.Seed = seed
-			v, err := s.Submit(experiment, p, batch, timeout)
-			if err != nil {
-				return batch, views, err
-			}
-			views = append(views, v)
-		}
-	}
-	s.log.Info("batch submitted", "batch", batch, "experiment", experiment, "jobs", len(views))
-	return batch, views, nil
-}
-
-// NewBatch allocates a batch ID from the job sequence.
-func (s *Service) NewBatch() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	return fmt.Sprintf("batch-%06d", s.seq)
-}
-
-// Get returns a job snapshot.
-func (s *Service) Get(id string) (JobView, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobView{}, ErrNotFound
-	}
-	return j.view(), nil
-}
-
-// ListFilter narrows List output; zero fields match everything.
-type ListFilter struct {
-	State      State
-	Batch      string
-	Experiment string
-}
-
-// List returns snapshots of matching jobs in submission order.
-func (s *Service) List(f ListFilter) []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if f.State != "" && j.state != f.State {
-			continue
-		}
-		if f.Batch != "" && j.batch != f.Batch {
-			continue
-		}
-		if f.Experiment != "" && j.experiment != f.Experiment {
-			continue
-		}
-		out = append(out, j.view())
-	}
-	return out
-}
-
-// StateCounts tallies jobs by state. The five counts always sum to the
-// total ever submitted, which is what /metrics exposes and what the batch
-// status endpoint reports.
-func (s *Service) StateCounts() map[State]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[State]int, 5)
-	for _, st := range States() {
-		out[st] = 0
-	}
-	for _, j := range s.jobs {
-		out[j.state]++
-	}
-	return out
 }
 
 // Cancel aborts a job. A pending job is finalized immediately (workers skip
@@ -467,34 +303,29 @@ func (s *Service) StateCounts() map[State]int {
 // cancelled and reaches the cancelled state when the runner unwinds.
 func (s *Service) Cancel(id string) (JobView, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.JobLocked(id)
+	if j == nil {
 		s.mu.Unlock()
 		return JobView{}, ErrNotFound
 	}
-	if j.state.Terminal() {
-		v := j.view()
+	if j.State.Terminal() {
+		v := j.View()
 		s.mu.Unlock()
 		return v, ErrFinished
 	}
-	j.cancelRequested = true
-	var cancel func()
-	if j.state == StatePending {
+	j.CancelRequested = true
+	cancel := j.Own.cancel
+	if j.State == StatePending {
 		// A pending job may be sitting in the queue or waiting on a retry
 		// timer; either way it finalizes here and the worker/timer skips it.
 		if t := s.retryTimers[id]; t != nil {
 			t.Stop()
 			delete(s.retryTimers, id)
 		}
-		j.state = StateCancelled
-		j.finished = s.now()
-		j.started = j.finished
-		s.journal.Append(JournalRecord{Op: OpFinish, Job: id, Time: j.finished, State: StateCancelled})
-		s.metrics.jobFinished(j.experiment, StateCancelled, 0, j.stats)
-	} else if j.cancel != nil {
-		cancel = j.cancel
+		s.finalizeLocked(j, StateCancelled, "")
+		j.Started = j.Finished // no run time, even after a failed attempt
 	}
-	v := j.view()
+	v := j.View()
 	s.mu.Unlock()
 
 	if cancel != nil {
@@ -521,8 +352,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	for id, t := range s.retryTimers {
 		t.Stop()
 		delete(s.retryTimers, id)
-		if j := s.jobs[id]; j != nil && j.state == StatePending {
-			s.finalizeLocked(j, StateFailed, "shutdown before retry: "+j.lastErr)
+		if j := s.JobLocked(id); j != nil && j.State == StatePending {
+			s.finalizeLocked(j, StateFailed, "shutdown before retry: "+j.Own.lastErr)
 		}
 	}
 	s.mu.Unlock()
@@ -540,10 +371,10 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 		s.log.Warn("drain deadline hit, cancelling in-flight jobs")
 		s.mu.Lock()
-		for _, j := range s.jobs {
-			if j.cancel != nil {
-				j.cancelRequested = true
-				j.cancel()
+		for j := range s.JobsLocked() {
+			if j.Own.cancel != nil {
+				j.CancelRequested = true
+				j.Own.cancel()
 			}
 		}
 		s.mu.Unlock()
@@ -559,14 +390,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // finalizeLocked moves a non-terminal job to a terminal state outside the
 // worker path (cancel-on-shutdown, retry-timer teardown). Caller holds s.mu.
 func (s *Service) finalizeLocked(j *job, st State, msg string) {
-	j.state = st
-	j.errMsg = msg
-	j.finished = s.now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: st, Error: msg})
-	s.metrics.jobFinished(j.experiment, st, 0, j.stats)
+	s.FinishLocked(j, st, msg, nil, j.Stats)
+	s.metrics.jobFinished(j.Experiment, st, 0, j.Stats)
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -581,83 +406,70 @@ func (s *Service) worker(id int) {
 // metric accounting.
 func (s *Service) runJob(workerID int, j *job) {
 	s.mu.Lock()
-	if j.state != StatePending { // cancelled while queued
+	if j.State != StatePending { // cancelled while queued
 		s.mu.Unlock()
 		return
 	}
-	exp, ok := s.reg.Get(j.experiment)
+	exp, ok := s.Registry().Get(j.Experiment)
 	if !ok {
-		// Unregistered between submit and execution; fail rather than panic.
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("experiment %q vanished from the registry", j.experiment)
-		j.started = s.now()
-		j.finished = j.started
-		s.journal.Append(JournalRecord{Op: OpFinish, Job: j.id, Time: j.finished, State: StateFailed, Error: j.errMsg})
-		s.metrics.jobFinished(j.experiment, StateFailed, 0, j.stats)
+		// A replayed job can name an experiment this process never
+		// registered; fail rather than panic.
+		s.finalizeLocked(j, StateFailed, fmt.Sprintf("experiment %q vanished from the registry", j.Experiment))
 		s.mu.Unlock()
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), j.timeout)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = s.now()
-	j.attempts++
-	attempt := j.attempts
-	s.journal.Append(JournalRecord{Op: OpStart, Job: j.id, Time: j.started, Attempt: attempt})
+	ctx, cancel := context.WithTimeout(context.Background(), j.Timeout)
+	j.Own.cancel = cancel
+	j.State = StateRunning
+	j.Started = s.now()
+	j.Attempts++
+	attempt := j.Attempts
+	s.journal.Append(JournalRecord{Op: OpStart, Job: j.ID, Time: j.Started, Attempt: attempt})
 	s.metrics.started.Add(1)
 	s.mu.Unlock()
 	defer cancel()
 
-	s.log.Info("job started", "job", j.id, "experiment", j.experiment, "worker", workerID, "attempt", attempt)
+	s.log.Info("job started", "job", j.ID, "experiment", j.Experiment, "worker", workerID, "attempt", attempt)
 
 	raw, stats, err := s.execute(ctx, exp.Run, j)
 
 	s.mu.Lock()
-	j.cancel = nil
-	j.finished = s.now()
-	j.stats = stats
+	j.Own.cancel = nil
+	state, errMsg := StateDone, ""
 	switch {
-	case j.cancelRequested:
-		j.state = StateCancelled
+	case j.CancelRequested:
 		if err == nil {
 			err = context.Canceled
 		}
-		j.errMsg = err.Error()
-	case err != nil && j.attempts < s.cfg.MaxAttempts && !s.draining:
+		state, errMsg, raw = StateCancelled, err.Error(), nil
+	case err != nil && attempt < s.cfg.MaxAttempts && !s.draining:
 		// Attempt budget left: back to pending, re-enqueued after a backoff
 		// with deterministic jitter. The journal's retry record plus the
 		// next start record keep the attempt count recoverable.
+		j.Stats = stats
 		s.scheduleRetryLocked(j, err)
 		s.mu.Unlock()
 		return
 	case errors.Is(err, context.DeadlineExceeded):
-		j.state = StateFailed
-		j.errMsg = fmt.Sprintf("timeout after %s", j.timeout)
+		state, errMsg = StateFailed, fmt.Sprintf("timeout after %s", j.Timeout)
 	case err != nil:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	default:
-		j.state = StateDone
-		j.result = raw
+		state, errMsg = StateFailed, err.Error()
 	}
-	state, dur := j.state, j.finished.Sub(j.started)
-	s.journal.Append(JournalRecord{
-		Op: OpFinish, Job: j.id, Time: j.finished,
-		State: state, Error: j.errMsg, Result: j.result, Stats: stats,
-	})
-	s.metrics.jobFinished(j.experiment, state, dur, stats)
+	s.FinishLocked(j, state, errMsg, raw, stats)
+	dur := j.Finished.Sub(j.Started)
+	s.metrics.jobFinished(j.Experiment, state, dur, stats)
 	s.mu.Unlock()
 
 	switch state {
 	case StateDone:
-		s.breaker.Record(j.experiment, true)
+		s.breaker.Record(j.Experiment, true)
 	case StateFailed:
-		s.breaker.Record(j.experiment, false)
-		s.metrics.failures.Add(1, j.experiment, string(classifyFailure(err, j.errMsg)))
+		s.breaker.Record(j.Experiment, false)
+		s.metrics.failures.Add(1, j.Experiment, string(classifyFailure(err, errMsg)))
 	}
 
-	s.log.Info("job finished", "job", j.id, "experiment", j.experiment,
-		"state", string(state), "duration", dur, "attempts", j.attempts, "err", j.errMsg)
+	s.log.Info("job finished", "job", j.ID, "experiment", j.Experiment,
+		"state", string(state), "duration", dur, "attempts", attempt, "err", errMsg)
 }
 
 // execute produces one job's marshaled result: served from the result
@@ -669,23 +481,21 @@ func (s *Service) runJob(workerID int, j *job) {
 func (s *Service) execute(ctx context.Context, run Runner, j *job) (json.RawMessage, cpu.Counters, error) {
 	key, keyOK := resultKey{}, false
 	if s.results != nil {
-		key, keyOK = resultKeyFor(j.experiment, j.params)
+		key, keyOK = resultKeyFor(j.Experiment, j.Params)
 	}
 	if !keyOK {
-		result, stats, err := runRecovered(ctx, run, j.params)
-		return marshalResult(result, stats, err)
+		return Execute(ctx, run, j.Params)
 	}
 	if e, ok := s.results.get(key); ok {
-		s.metrics.cacheHits.Add(1, j.experiment)
+		s.metrics.cacheHits.Add(1, j.Experiment)
 		return e.result, e.stats, nil
 	}
-	s.metrics.cacheMisses.Add(1, j.experiment)
+	s.metrics.cacheMisses.Add(1, j.Experiment)
 	deduped := false
 	for {
 		flight, leader := s.results.begin(key)
 		if leader {
-			result, stats, err := runRecovered(ctx, run, j.params)
-			raw, stats, err := marshalResult(result, stats, err)
+			raw, stats, err := Execute(ctx, run, j.Params)
 			var entry *resultEntry
 			if err == nil && !s.cancelRequested(j) {
 				entry = &resultEntry{result: raw, stats: stats}
@@ -695,7 +505,7 @@ func (s *Service) execute(ctx context.Context, run Runner, j *job) (json.RawMess
 		}
 		if !deduped {
 			deduped = true
-			s.metrics.cacheDedup.Add(1, j.experiment)
+			s.metrics.cacheDedup.Add(1, j.Experiment)
 		}
 		select {
 		case <-flight.done:
@@ -714,34 +524,22 @@ func (s *Service) execute(ctx context.Context, run Runner, j *job) (json.RawMess
 func (s *Service) cancelRequested(j *job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return j.cancelRequested
-}
-
-// marshalResult serializes a successful runner outcome.
-func marshalResult(result any, stats cpu.Counters, err error) (json.RawMessage, cpu.Counters, error) {
-	if err != nil {
-		return nil, stats, err
-	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return nil, stats, fmt.Errorf("marshaling result: %w", err)
-	}
-	return raw, stats, nil
+	return j.CancelRequested
 }
 
 // scheduleRetryLocked parks a failed job as pending and arms the timer that
 // re-enqueues it. Caller holds s.mu.
 func (s *Service) scheduleRetryLocked(j *job, cause error) {
-	j.state = StatePending
-	j.lastErr = cause.Error()
-	j.finished = time.Time{}
-	delay := s.retry.Delay(j.attempts, retrySeed(j.id))
-	s.journal.Append(JournalRecord{Op: OpRetry, Job: j.id, Time: s.now(), Attempt: j.attempts, Error: j.lastErr})
-	s.metrics.retried.Add(1, j.experiment)
-	id := j.id
+	j.State = StatePending
+	j.Own.lastErr = cause.Error()
+	j.Finished = time.Time{}
+	delay := s.retry.Delay(j.Attempts, retrySeed(j.ID))
+	s.journal.Append(JournalRecord{Op: OpRetry, Job: j.ID, Time: s.now(), Attempt: j.Attempts, Error: j.Own.lastErr})
+	s.metrics.retried.Add(1, j.Experiment)
+	id := j.ID
 	s.retryTimers[id] = time.AfterFunc(delay, func() { s.requeue(id) })
-	s.log.Warn("job retry scheduled", "job", id, "experiment", j.experiment,
-		"attempt", j.attempts, "of", s.cfg.MaxAttempts, "delay", delay, "err", j.lastErr)
+	s.log.Warn("job retry scheduled", "job", id, "experiment", j.Experiment,
+		"attempt", j.Attempts, "of", s.cfg.MaxAttempts, "delay", delay, "err", j.Own.lastErr)
 }
 
 // requeue moves a retry-parked job back into the queue when its backoff
@@ -751,18 +549,18 @@ func (s *Service) requeue(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.retryTimers, id)
-	j := s.jobs[id]
-	if j == nil || j.state != StatePending {
+	j := s.JobLocked(id)
+	if j == nil || j.State != StatePending {
 		return // cancelled (or otherwise finalized) while waiting
 	}
 	if s.draining {
-		s.finalizeLocked(j, StateFailed, "shutdown before retry: "+j.lastErr)
+		s.finalizeLocked(j, StateFailed, "shutdown before retry: "+j.Own.lastErr)
 		return
 	}
 	select {
 	case s.queue <- j:
 	default:
-		s.finalizeLocked(j, StateFailed, "queue full on retry: "+j.lastErr)
+		s.finalizeLocked(j, StateFailed, "queue full on retry: "+j.Own.lastErr)
 	}
 }
 
@@ -783,15 +581,4 @@ func classifyFailure(err error, msg string) failureClass {
 	default:
 		return failError
 	}
-}
-
-// runRecovered invokes the runner, converting a panic into an error so one
-// bad experiment cannot take down a worker goroutine.
-func runRecovered(ctx context.Context, run Runner, p Params) (result any, stats cpu.Counters, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiment panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return run(ctx, p)
 }

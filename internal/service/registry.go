@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -93,6 +95,26 @@ func (p Params) EffectiveNoise() float64 {
 // of every machine it built (zero if the driver does not expose them).
 type Runner func(ctx context.Context, p Params) (result any, stats cpu.Counters, err error)
 
+// Execute runs one experiment and marshals its result. A panic in the
+// runner becomes an error carrying its stack, so one bad experiment cannot
+// take down the goroutine running it. The service's workers and the
+// coordinator's degraded mode both run jobs through here.
+func Execute(ctx context.Context, run Runner, p Params) (raw json.RawMessage, stats cpu.Counters, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			raw, err = nil, fmt.Errorf("experiment panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	result, stats, err := run(ctx, p)
+	if err != nil {
+		return nil, stats, err
+	}
+	if raw, err = json.Marshal(result); err != nil {
+		return nil, stats, fmt.Errorf("marshaling result: %w", err)
+	}
+	return raw, stats, nil
+}
+
 // Experiment is one registry entry.
 type Experiment struct {
 	Name        string `json:"name"`
@@ -141,7 +163,8 @@ func (r *Registry) List() []Experiment {
 
 // Resolve validates the experiment name and parameters and fills zero
 // fields from the experiment defaults. Submissions fail fast here — an
-// unknown experiment or microarchitecture never reaches the queue.
+// unknown experiment or microarchitecture, or a value no driver accepts,
+// never reaches the queue.
 func (r *Registry) Resolve(name string, p Params) (Params, error) {
 	e, ok := r.Get(name)
 	if !ok {
@@ -154,6 +177,9 @@ func (r *Registry) Resolve(name string, p Params) (Params, error) {
 		if _, err := ArchConfig(a); err != nil {
 			return p, err
 		}
+	}
+	if err := checkRanges(p); err != nil {
+		return p, err
 	}
 	d := e.Defaults
 	if p.Arch == "" {
@@ -213,6 +239,32 @@ func (r *Registry) Resolve(name string, p Params) (Params, error) {
 		p.Noises = d.Noises
 	}
 	return p, nil
+}
+
+// checkRanges rejects the counts and sizes no driver accepts. Zero still
+// selects the default and a negative noise stays the exactly-zero
+// sentinel, so neither is an error.
+func checkRanges(p Params) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"max_m", p.MaxM}, {"doublets", p.Doublets}, {"trials", p.Trials},
+		{"size", p.Size}, {"images", p.Images}, {"batch_size", p.BatchSize},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("service: %s %d is negative", f.name, f.v)
+		}
+	}
+	for _, n := range p.Trips {
+		if n < 0 {
+			return fmt.Errorf("service: trip count %d is negative", n)
+		}
+	}
+	if p.Quality < 0 || p.Quality > 100 {
+		return fmt.Errorf("service: quality %d is outside 1-100", p.Quality)
+	}
+	return nil
 }
 
 // NewRegistry builds a registry holding the full experiment index of

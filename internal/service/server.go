@@ -99,8 +99,8 @@ func (s *Service) Handler() http.Handler {
 }
 
 // JobAPI is the job table behind the client routes. The standalone Service
-// and the cluster Coordinator both implement it, so the routes, and the
-// JSON a client sees, exist once.
+// and the cluster Coordinator both implement it, all but Cancel through the
+// Table they embed, so the routes, and the JSON a client sees, exist once.
 type JobAPI interface {
 	Registry() *Registry
 	Submit(experiment string, p Params, batch string, timeout time.Duration) (JobView, error)

@@ -476,6 +476,66 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOutOfRangeParams: a count or size no driver accepts is
+// refused at submission, over the Go API and as HTTP 400. A refused job
+// leaves no record and feeds nothing to its experiment's breaker, so a
+// valid submission right after is still admitted and runs.
+func TestSubmitRejectsOutOfRangeParams(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 16, BreakerThreshold: 1})
+	defer shutdown(t, s)
+	cases := []struct {
+		experiment string
+		p          Params
+	}{
+		{"aes", Params{BatchSize: -1}},
+		{"aes", Params{Trials: -1}},
+		{"readphr", Params{Trials: -1}},
+		{"readphr", Params{Doublets: -1}},
+		{"fig4", Params{Doublets: -1}},
+		{"obs2", Params{MaxM: -1}},
+		{"fig5", Params{Trips: []int{60, -4}}},
+		{"fig7", Params{Size: -8}},
+		{"fig7", Params{Images: -1}},
+		{"fig7", Params{Quality: 1000}},
+		{"fig7", Params{Quality: -1}},
+	}
+	for _, tc := range cases {
+		if v, err := s.Submit(tc.experiment, tc.p, "", time.Minute); err == nil {
+			t.Errorf("Submit(%s, %+v) admitted %s, want an error", tc.experiment, tc.p, v.ID)
+		}
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"experiment":"aes","params":{"batch_size":-1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /v1/jobs with batch_size -1: status %d, want 400", resp.StatusCode)
+	}
+
+	if n := len(s.List(ListFilter{})); n != 0 {
+		t.Fatalf("refused submissions left %d jobs", n)
+	}
+	if b := s.breaker.Snapshot(); len(b) != 0 {
+		t.Fatalf("refused submissions moved breakers: %v", b)
+	}
+	v, err := s.Submit("aes", Params{Trials: 1, Noise: -1}, "", time.Minute)
+	if err != nil {
+		t.Fatalf("valid aes submission after the refusals: %v", err)
+	}
+	waitFor(t, 30*time.Second, "valid aes job", func() bool {
+		got, err := s.Get(v.ID)
+		return err == nil && got.State.Terminal()
+	})
+	if got, _ := s.Get(v.ID); got.State != StateDone {
+		t.Fatalf("valid aes job: state=%s err=%q, want done", got.State, got.Error)
+	}
+}
+
 // TestAESGridExperiment: aes_grid resolves grid defaults, rejects unknown
 // grid archs, and a small 2×2×1 grid runs to completion with one report
 // point per cell in arch-major order.
