@@ -74,15 +74,62 @@ type Predictor interface {
 const UsefulResetPeriod = 4096
 
 // CBP is the conditional branch predictor of Figure 3.
+//
+// Besides the predictor state it carries a content-keyed fold table: a
+// register's index and tag folds depend only on its content, and a victim
+// replays the same few hundred contents through the same branches run after
+// run, so the folds of recent contents are kept instead of recomputed. The
+// table is derived state, a pure function of register content and
+// TableHists: it is not saved, hashed, encoded or dumped, and Flush, Reset
+// and the restore paths leave it alone. Predict writes it, so a CBP is used
+// by one goroutine at a time.
 type CBP struct {
 	cfg     Config
 	Base    *pht.BaseTable
 	Tables  []*pht.TaggedTable
 	updates uint64
+
+	folds [foldSets][foldWays]foldEntry
+	next  [foldSets]uint8 // per-set round-robin replacement cursor
+
+	// The folds of the last register probed, by value, so a branch's
+	// Predict and Update probe the table once. Keyed by register identity
+	// and Gen, which moves on every mutation.
+	memoReg *phr.Reg
+	memoGen uint64
+	memo    [maxFoldTables]pht.Folds
+}
+
+// Fold table geometry: 64 sets of 4 ways, 72 bytes an entry, about 18 KB per
+// CBP. A 1,024-entry direct-mapped table is no faster on §8 image recovery
+// and costs a service running many machines more memory; a 256-entry
+// direct-mapped one loses about half the gain to conflicts.
+const (
+	foldSetBits = 6
+	foldSets    = 1 << foldSetBits
+	foldWays    = 4
+)
+
+// maxFoldTables is the number of tagged tables a fold-table entry covers,
+// the three of every Table 1 machine.
+const maxFoldTables = 3
+
+// foldEntry maps one register content, its words and its size, to the
+// PC-free folds of every tagged table. The size is part of the key because
+// a table longer than the register folds only the register's doublets. No
+// register has size 0, so a zeroed entry matches nothing and the table needs
+// no valid bits.
+type foldEntry struct {
+	key   [7]uint64
+	size  uint16
+	folds [maxFoldTables]pht.Folds
 }
 
 // NewCBP builds an empty CBP for the given microarchitecture.
 func NewCBP(cfg Config) *CBP {
+	if len(cfg.TableHists) > maxFoldTables {
+		panic(fmt.Sprintf("bpu: %d tagged tables, at most %d supported", len(cfg.TableHists), maxFoldTables))
+	}
 	c := &CBP{cfg: cfg, Base: pht.NewBase()}
 	for _, h := range cfg.TableHists {
 		c.Tables = append(c.Tables, pht.NewTagged(h))
@@ -93,30 +140,69 @@ func NewCBP(cfg Config) *CBP {
 // Config returns the microarchitecture this CBP models.
 func (c *CBP) Config() Config { return c.cfg }
 
+// foldsOf returns the PC-free folds of every tagged table for history h. A
+// *phr.Reg goes through the fold table; any other history is folded
+// directly.
+func (c *CBP) foldsOf(h phr.History) [maxFoldTables]pht.Folds {
+	r, ok := h.(*phr.Reg)
+	if !ok {
+		return c.fold(h)
+	}
+	if r == c.memoReg && r.Gen() == c.memoGen {
+		return c.memo
+	}
+	w, size := r.Words(), uint16(r.Size())
+	si := foldSet(&w)
+	set := &c.folds[si]
+	var e *foldEntry
+	for i := range set {
+		if eqWords(&set[i].key, &w) && set[i].size == size {
+			e = &set[i]
+			break
+		}
+	}
+	if e == nil {
+		way := c.next[si]
+		c.next[si] = (way + 1) % foldWays
+		e = &set[way]
+		e.key, e.size, e.folds = w, size, c.fold(r)
+	}
+	c.memoReg, c.memoGen, c.memo = r, r.Gen(), e.folds
+	return e.folds
+}
+
+// fold folds h for every tagged table.
+func (c *CBP) fold(h phr.History) (f [maxFoldTables]pht.Folds) {
+	for i, t := range c.Tables {
+		f[i] = t.Folds(h)
+	}
+	return f
+}
+
+// foldSet hashes a register content to its fold-table set. Every word takes
+// part, so contents that differ only in old doublets spread too.
+func foldSet(w *[7]uint64) uint8 {
+	h := w[0]*0x9e3779b97f4a7c15 + w[1]*0xc2b2ae3d27d4eb4f + w[2]*0x165667b19e3779f9 +
+		w[3]*0xd6e8feb86659fd93 + w[4]*0xff51afd7ed558ccd + w[5]*0xc4ceb9fe1a85ec53 +
+		w[6]*0x94d049bb133111eb
+	return uint8(h >> (64 - foldSetBits))
+}
+
+// eqWords compares two contents in full, low words first, where histories
+// diverge first; written out, it beats a memequal call on the hot path.
+func eqWords(a, b *[7]uint64) bool {
+	return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3] &&
+		a[4] == b[4] && a[5] == b[5] && a[6] == b[6]
+}
+
 // Predict returns the direction prediction for a conditional branch at pc
 // under path history h.
 func (c *CBP) Predict(pc uint64, h phr.History) Prediction {
+	f := c.foldsOf(h)
 	base := c.Base.Predict(pc)
 	p := Prediction{Provider: -1, Taken: base, AltTaken: base}
 	for i, t := range c.Tables { // ascending history; later hits override
-		if e, hit := t.Lookup(pc, h); hit {
-			p.AltTaken = p.Taken
-			p.Taken = e.Ctr.Taken()
-			p.Provider = i
-		}
-	}
-	return p
-}
-
-// PredictReg is Predict specialized to the concrete *phr.Reg, the type every
-// Hart actually owns. The specialization exists purely so the fold and memo
-// probes devirtualize on the simulator hot path; it must stay line-for-line
-// equivalent to Predict (the engine parity tests pin this).
-func (c *CBP) PredictReg(pc uint64, r *phr.Reg) Prediction {
-	base := c.Base.Predict(pc)
-	p := Prediction{Provider: -1, Taken: base, AltTaken: base}
-	for i, t := range c.Tables { // ascending history; later hits override
-		if e, hit := t.LookupReg(pc, r); hit {
+		if e, hit := t.LookupFolds(pc, f[i]); hit {
 			p.AltTaken = p.Taken
 			p.Taken = e.Ctr.Taken()
 			p.Provider = i
@@ -135,11 +221,12 @@ func (c *CBP) Update(pc uint64, h phr.History, taken bool, p Prediction) {
 			t.DecayUseful()
 		}
 	}
+	f := c.foldsOf(h)
 	if p.Provider < 0 {
 		c.Base.Update(pc, taken)
 	} else {
 		t := c.Tables[p.Provider]
-		if e, hit := t.Lookup(pc, h); hit {
+		if e, hit := t.LookupFolds(pc, f[p.Provider]); hit {
 			e.Ctr = e.Ctr.Update(taken)
 			if p.Taken != p.AltTaken {
 				if p.Taken == taken {
@@ -154,41 +241,7 @@ func (c *CBP) Update(pc uint64, h phr.History, taken bool, p Prediction) {
 	}
 	if p.Taken != taken {
 		for i := p.Provider + 1; i < len(c.Tables); i++ {
-			if c.Tables[i].Allocate(pc, h, taken) {
-				break
-			}
-		}
-	}
-}
-
-// UpdateReg is Update specialized to the concrete *phr.Reg; see PredictReg.
-func (c *CBP) UpdateReg(pc uint64, r *phr.Reg, taken bool, p Prediction) {
-	c.updates++
-	if c.updates%UsefulResetPeriod == 0 {
-		for _, t := range c.Tables {
-			t.DecayUseful()
-		}
-	}
-	if p.Provider < 0 {
-		c.Base.Update(pc, taken)
-	} else {
-		t := c.Tables[p.Provider]
-		if e, hit := t.LookupReg(pc, r); hit {
-			e.Ctr = e.Ctr.Update(taken)
-			if p.Taken != p.AltTaken {
-				if p.Taken == taken {
-					if e.Useful < pht.UsefulMax {
-						e.Useful++
-					}
-				} else if e.Useful > 0 {
-					e.Useful--
-				}
-			}
-		}
-	}
-	if p.Taken != taken {
-		for i := p.Provider + 1; i < len(c.Tables); i++ {
-			if c.Tables[i].AllocateReg(pc, r, taken) {
+			if c.Tables[i].AllocateFolds(pc, f[i], taken) {
 				break
 			}
 		}

@@ -214,6 +214,7 @@ func TestIBPBLeavesCBPIntact(t *testing.T) {
 func BenchmarkCBPPredictUpdate(b *testing.B) {
 	c := NewCBP(AlderLake)
 	h := phr.New(194)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := uint64(i%64) << 6
 		p := c.Predict(pc, h)

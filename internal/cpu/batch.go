@@ -8,12 +8,11 @@ import (
 
 // Batch is a group of K independent trial machines ("lanes") whose hot
 // per-trial state is laid out structure-of-arrays in shared arenas: all K
-// lanes' path history registers (with their fold caches) sit in one
-// contiguous []phr.Reg, their hart records in one []Hart, and the Machine
-// headers in one []Machine. Trials share no state, so any execution
-// interleaving of lanes is observationally identical; the harness drivers
-// run one batch per claimed index group, recycling lanes between groups so
-// the steady state allocates nothing.
+// lanes' path history registers sit in one contiguous []phr.Reg, their hart
+// records in one []Hart, and the Machine headers in one []Machine. Trials
+// share no state, so any execution interleaving of lanes is observationally
+// identical; the harness drivers run one batch per claimed index group,
+// recycling lanes between groups so the steady state allocates nothing.
 //
 // Lanes are full Machines — Snapshot, RestoreFrom, Recycle and the dense
 // engine all work per lane — plus batch-grain operations: RecycleAll,

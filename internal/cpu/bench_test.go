@@ -52,8 +52,8 @@ func BenchmarkRunBranchLoop(b *testing.B) {
 // BenchmarkBatchStep measures the harness's actual steady state: a K-lane
 // batch whose lanes are recycled to per-trial seeds and run to completion,
 // one group per iteration, exactly as the sharded drivers drive it. The
-// ns/instr metric is the per-simulated-instruction cost the ≤20 ns/instr
-// budget in BENCH_hotpath.json gates; allocs/op must be 0 once the decoded
+// ns/instr metric is the per-simulated-instruction cost; BENCH_baseline.json
+// gates the ns/op it derives from, and allocs/op must be 0 once the decoded
 // program cache and lane arenas are warm.
 func BenchmarkBatchStep(b *testing.B) {
 	const iters = 4096

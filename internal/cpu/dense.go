@@ -22,9 +22,9 @@ import (
 //     string, so the dispatch loop walks a compact, pointer-free stream.
 //   - Direct control transfers are pre-resolved to program indices at
 //     decode time (exec re-resolves hand-built instructions per execution).
-//   - The predictor calls are the concrete bpu.CBP fast paths (PredictReg,
-//     UpdateReg), which devirtualize the fold and memo probes all the way
-//     down to *phr.Reg; exec goes through the bpu.Predictor interface.
+//   - The predictor calls go straight to the concrete *bpu.CBP; exec goes
+//     through the bpu.Predictor interface. Both reach the same content-keyed
+//     fold table, so the engines differ only in dispatch.
 //   - Instruction and cycle counts accumulate in locals and are flushed to
 //     m.stats only around the cold paths that observe them.
 type denseInstr struct {
@@ -193,7 +193,7 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 
 		case isa.BR:
 			taken := in.cond.Eval(h.regs[in.rs], h.regs[in.rt])
-			pred := cbp.PredictReg(in.addr, h.PHR)
+			pred := cbp.Predict(in.addr, h.PHR)
 			ref := &ps.stats[idx]
 			if ref.s == nil || ref.addr != in.addr {
 				ref.addr, ref.s = in.addr, m.branchStat(in.addr)
@@ -211,7 +211,7 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 				m.speculate(h, prog, idx, pred.Taken)
 				cycles = m.stats.Cycles + uint64(m.opts.MispredictPenalty)
 			}
-			cbp.UpdateReg(in.addr, h.PHR, taken, pred)
+			cbp.Update(in.addr, h.PHR, taken, pred)
 			if taken {
 				h.PHR.UpdateBranch(in.addr, in.target)
 				m.stats.TakenBranches++

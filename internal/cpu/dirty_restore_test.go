@@ -69,7 +69,8 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 					t.Fatalf("trial %d: dirty restore hash %#x, want %#x", trial, got, snap.Hash())
 				}
 				// The hash covers captured state; run a continuation to catch
-				// divergence in derived state (fold memos, decoded programs).
+				// divergence in derived state (the CBP's fold table, decoded
+				// programs).
 				fast.Reseed(seed + 1)
 				full.Reseed(seed + 1)
 				if err := fast.Run(p, "main"); err != nil {

@@ -206,9 +206,9 @@ func (m *Machine) RestoreFrom(s *Snapshot) {
 
 	for i, h := range m.harts {
 		hs := &s.harts[i]
-		// CopyFrom, not assignment: it advances the destination's fold-cache
-		// generation monotonically, so (pointer, generation)-keyed fold memos
-		// in the tagged tables can never serve a stale entry after a rewind.
+		// CopyFrom, not assignment: it advances the destination's generation
+		// monotonically, so the CBP's (register, generation)-keyed fold memo
+		// can never serve a stale entry after a rewind.
 		h.PHR.CopyFrom(&hs.phr)
 		h.Domain = hs.domain
 		h.regs = hs.regs

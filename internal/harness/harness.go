@@ -109,10 +109,11 @@ func (o Options) workers() int {
 }
 
 // defaultBatchSize is the auto-tuned trial-group grain. Eight lanes keep a
-// batch's arena (eight PHRs plus fold caches, ~20 KiB) comfortably inside L1
-// while amortizing group claiming; because any grain yields a byte-identical
-// report, the constant only trades scheduling overhead against load balance
-// and can move freely. See EXPERIMENTS.md for the tuning recipe.
+// batch's arena (eight 80-byte PHRs, harts and machine headers, ~12 KiB)
+// comfortably inside L1 while amortizing group claiming; because any grain
+// yields a byte-identical report, the constant only trades scheduling
+// overhead against load balance and can move freely. See EXPERIMENTS.md for
+// the tuning recipe.
 const defaultBatchSize = 8
 
 // batchSize resolves the trial-group grain for the sharded drivers.

@@ -13,7 +13,7 @@ import (
 // trial indices checks out one batch, runs trial lo+j on lane j (recycling
 // the lane to the trial's options), and returns the batch when the group is
 // done, so the steady state allocates nothing and all K lanes' hot state
-// (PHRs with their fold caches, harts, machine headers) stays in the shared
+// (PHRs, harts, machine headers) stays in the shared
 // structure-of-arrays arenas cpu.NewBatch lays out.
 //
 // Pooling is disabled when the driver runs on the refmodel oracle — a custom

@@ -5,9 +5,9 @@ import (
 )
 
 // The tests in this file pin the hot-path implementations — the table-driven
-// Footprint, the word-streaming foldFull/FoldMix, and the incremental
-// FoldCache — against deliberately naive references that mirror the
-// pre-optimization per-chunk code.
+// Footprint and the word-streaming foldFull/FoldMix — against deliberately
+// naive references that mirror the pre-optimization per-chunk code, also
+// after long Update/ReverseUpdate streams and through Clone/CopyFrom.
 
 // refExtract returns up to 32 bits starting at bit offset o, clipped at
 // limit (the old Reg.extract helper).
@@ -131,11 +131,10 @@ func TestFoldMix12LaneFold(t *testing.T) {
 	}
 }
 
-// TestFoldCacheIncremental replays long random branch streams and checks the
-// cached Fold values against the naive reference after every update, for all
-// Table 1 (histLen, width) pairs. Mixing in ReverseUpdates exercises the
-// reverse incremental formula, and occasional structural mutations exercise
-// invalidation.
+// TestFoldCacheIncremental replays long random branch streams and checks
+// Fold against the naive reference after every update, for all Table 1
+// (histLen, width) pairs, with ReverseUpdates and occasional structural
+// mutations mixed in.
 func TestFoldCacheIncremental(t *testing.T) {
 	for _, p := range table1FoldPairs() {
 		g := newTestRng(uint64(p.size*1000 + p.histLen*10 + p.width))
@@ -160,17 +159,16 @@ func TestFoldCacheIncremental(t *testing.T) {
 				r.Update(fp)
 			}
 			if got, want := r.Fold(p.histLen, p.width), refFold(r, p.histLen, p.width); got != want {
-				t.Fatalf("size=%d histLen=%d width=%d step=%d: cached fold %#x, ref %#x",
+				t.Fatalf("size=%d histLen=%d width=%d step=%d: fold %#x, ref %#x",
 					p.size, p.histLen, p.width, step, got, want)
 			}
 		}
 	}
 }
 
-// TestFoldCacheManyWindows drives more simultaneous (histLen, width) pairs
-// than the cache has slots, forcing round-robin eviction, and also checks
-// reverse updates with synthetic (unknown) top doublets as the pathfinder
-// search issues them.
+// TestFoldCacheManyWindows reads many (histLen, width) pairs after every
+// update, including reverse updates with synthetic (unknown) top doublets
+// as the pathfinder search issues them.
 func TestFoldCacheManyWindows(t *testing.T) {
 	g := newTestRng(7)
 	r := New(194)
@@ -183,21 +181,20 @@ func TestFoldCacheManyWindows(t *testing.T) {
 		}
 		for _, p := range pairs {
 			if got, want := r.Fold(p[0], p[1]), refFold(r, p[0], p[1]); got != want {
-				t.Fatalf("h=%d w=%d step=%d: cached fold %#x, ref %#x", p[0], p[1], step, got, want)
+				t.Fatalf("h=%d w=%d step=%d: fold %#x, ref %#x", p[0], p[1], step, got, want)
 			}
 		}
 	}
 }
 
-// TestFoldCacheCloneCopy checks the cache survives Clone/CopyFrom as a plain
-// value copy: clones diverge independently and stay correct.
+// TestFoldCacheCloneCopy checks Clone/CopyFrom as plain value copies: clones
+// diverge independently and fold correctly.
 func TestFoldCacheCloneCopy(t *testing.T) {
 	g := newTestRng(99)
 	r := New(194)
 	for i := 0; i < 50; i++ {
 		r.Update(uint16(g.next()))
 	}
-	r.Fold(66, 8) // populate cache
 	c := r.Clone()
 	c.Update(uint16(g.next()))
 	r.ReverseUpdate(uint16(g.next()), 2)

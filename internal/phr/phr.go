@@ -16,7 +16,10 @@
 //
 // Internally the register is bit-packed into 64-bit words: attack workloads
 // execute hundreds of millions of predicted branches, and the PHT index/tag
-// folds over this register are the hot path of the whole simulator.
+// folds over this register are the hot path of the whole simulator. The
+// register itself keeps no fold state: Fold and FoldMix are pure functions
+// of its words, and the conditional predictor caches their results by
+// register content (internal/bpu).
 package phr
 
 import (
@@ -36,7 +39,7 @@ type History interface {
 	// Size returns the register length in doublets.
 	Size() int
 	// Gen returns a counter that changes on every mutation; predictor
-	// structures use (value identity, Gen) pairs to memoize fold results.
+	// structures use (register identity, Gen) pairs to memoize fold results.
 	Gen() uint64
 	// Doublet returns doublet i (0 = most recent).
 	Doublet(i int) Doublet
@@ -113,169 +116,25 @@ func footprintSlow(branchAddr, targetAddr uint64) uint16 {
 	return f
 }
 
-// maxWords covers 194 doublets = 388 bits.
+// maxWords is the packed capacity: seven words hold up to 224 doublets,
+// enough for the 194-doublet Alder/Raptor Lake register.
 const maxWords = 7
 
-// foldSlots is the number of (histLen, width) fold values a register caches.
-// The Table 1 configs need at most four live folds per register: one 8-bit
-// index fold per tagged table (three history lengths) plus the 16-bit IBP
-// fold over the full window.
-const foldSlots = 4
-
-// foldOpsCap bounds the deferred-update ring. Attack write/clear chains are
-// hundreds of taken branches between fold reads; once the ring fills the
-// cache gives up (invalidates) so chain-heavy code pays only a counter check
-// per branch and the next Fold recomputes from scratch. Branch-at-a-time
-// victim code reads folds every branch, so its ring depth stays at one.
-const foldOpsCap = 8
-
-// foldEntry is one incrementally maintained Fold(histLen, width) value.
-type foldEntry struct {
-	valid   bool
-	histLen int32 // clamped to the register size
-	width   int32
-	val     uint32
-	posB    uint8  // (2*histLen) % width: fold position of the outgoing low top bit
-	posB1   uint8  // (2*histLen + 1) % width
-	fpMask  uint16 // footprint bits inside the history window
-}
-
-// foldOp is one deferred Update/ReverseUpdate. The doublets the incremental
-// formulas need are captured at mutation time (they may be shifted out of
-// the register before the op is replayed).
-type foldOp struct {
-	fp   uint16
-	rev  bool
-	low  uint8            // reverse only: low doublet after footprint removal
-	tops [foldSlots]uint8 // per slot: outgoing (fwd) / incoming (rev) window-top doublet
-}
-
 // Reg is a PHR of a fixed doublet length. The zero value is not usable; use
-// New. Clone gives an independent copy; Equal compares contents.
-//
-// Attached to every register is a FoldCache: up to foldSlots incrementally
-// maintained Fold results. Update and ReverseUpdate append O(1) deferred ops
-// instead of forcing an immediate re-fold of up to seven words; the next
-// Fold call replays pending ops against each cached entry. Structural
-// mutators (SetDoublet, Shift, Clear, ...) invalidate the cache. All cache
-// state lives in value arrays so Clone and CopyFrom stay plain copies.
+// New. Clone gives an independent copy; Equal compares contents. A Reg holds
+// only its packed words, its size, the top-word mask and a mutation counter,
+// so Clone and CopyFrom are plain 80-byte copies.
 type Reg struct {
 	w       [maxWords]uint64
 	size    int    // doublets
 	topMask uint64 // valid-bit mask for the highest word in use
 	gen     uint64 // bumped on every mutation; lets predictors memoize folds
-
-	folds    [foldSlots]foldEntry
-	ops      [foldOpsCap]foldOp
-	nops     int
-	nvalid   int
-	nextSlot int // round-robin eviction cursor
-
-	// Content-keyed fold memoization. contents assigns a small integer
-	// identity to recently seen register contents (one full-window compare
-	// per mutation, memoized by gen); cvals is a direct-mapped cache of
-	// Fold/FoldMix results keyed by (content id, histLen, width, kind).
-	// Fold values are pure functions of content, so entries never need
-	// invalidation — a stale entry simply stops matching. This is what
-	// makes hot loops cheap: once a loop's footprint sequence has filled
-	// the history window the register content is periodic, every content
-	// in the cycle is already in the cache, and each fold costs a content
-	// probe instead of streaming up to seven words. All of it is value
-	// state, like folds, so Clone stays a plain copy; CopyFrom does not
-	// copy it (ids are register-local).
-	contents    [contentSlots]contentEntry
-	nextContent int
-	lastSlot    int    // slot of the last content match, probed first
-	contentSeq  uint64 // id generator; ids are never reused within a Reg
-	lastGen     uint64 // gen at which lastCID was established
-	lastCID     uint64 // content id of the current content; 0 = unknown
-	cvals       [cvalSlots]cvalEntry
-}
-
-// contentSlots is the number of distinct register contents tracked. It
-// covers loops with up to contentSlots taken branches per iteration; longer
-// cycles degrade gracefully to recomputation.
-const contentSlots = 16
-
-// cvalSlots sizes the direct-mapped fold-result cache: six live
-// (histLen, width, kind) combinations per content for the Table 1 configs
-// (three index folds, three tag folds), times the content cycle length.
-const cvalSlots = 64
-
-// contentEntry names one register content: a full window image and its id.
-type contentEntry struct {
-	id uint64 // 0 = empty
-	w  [maxWords]uint64
-}
-
-// cvalEntry is one memoized fold result for (content, histLen, width, kind).
-type cvalEntry struct {
-	cid uint64 // content id; 0 = empty
-	key uint32 // histLen<<8 | width<<1 | kind (1 = FoldMix, 0 = Fold)
-	val uint32
-}
-
-// eqWords compares two window images with an early exit on the low words,
-// where histories diverge first; inlining this beats a memequal call on the
-// hot path.
-func eqWords(a, b *[maxWords]uint64) bool {
-	return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] && a[3] == b[3] &&
-		a[4] == b[4] && a[5] == b[5] && a[6] == b[6]
-}
-
-// ContentID returns a register-local identity for the current content:
-// equal results name equal contents, and an id is never reused for a
-// different content within one register (ids from different registers are
-// unrelated). Unseen contents are registered on the fly, cycling through a
-// fixed number of slots. Predictor structures use (register, ContentID)
-// pairs to memoize values that are pure functions of history content —
-// unlike Gen-keyed memos these keep hitting across mutations whenever a
-// loop returns the register to a content already seen.
-//
-// The result is memoized per gen. A fresh gen probes the slot of the last
-// match first (loops revisit contents in cycle order, so this is almost
-// always right), then scans.
-func (r *Reg) ContentID() uint64 {
-	if r.lastGen == r.gen && r.lastCID != 0 {
-		return r.lastCID
-	}
-	if c := &r.contents[r.lastSlot]; c.id != 0 && eqWords(&c.w, &r.w) {
-		r.lastGen, r.lastCID = r.gen, c.id
-		return c.id
-	}
-	if c := &r.contents[(r.lastSlot+1)%contentSlots]; c.id != 0 && eqWords(&c.w, &r.w) {
-		r.lastSlot = (r.lastSlot + 1) % contentSlots
-		r.lastGen, r.lastCID = r.gen, c.id
-		return c.id
-	}
-	for i := range r.contents {
-		c := &r.contents[i]
-		if c.id != 0 && eqWords(&c.w, &r.w) {
-			r.lastSlot = i
-			r.lastGen, r.lastCID = r.gen, c.id
-			return c.id
-		}
-	}
-	r.contentSeq++
-	id := r.contentSeq
-	r.contents[r.nextContent] = contentEntry{id: id, w: r.w}
-	r.lastSlot = r.nextContent
-	r.nextContent = (r.nextContent + 1) % contentSlots
-	r.lastGen, r.lastCID = r.gen, id
-	return id
-}
-
-// cvalIndex hashes a (content id, fold key) pair into the direct-mapped
-// result cache.
-func cvalIndex(cid uint64, key uint32) int {
-	h := (cid ^ uint64(key)<<40) * 0x9e3779b97f4a7c15
-	return int(h>>58) & (cvalSlots - 1)
 }
 
 var _ History = (*Reg)(nil)
 
 // New returns an all-zero PHR with capacity for size doublets.
-// Size must be at least FootprintDoublets and at most 194 * 2.
+// Size must be at least FootprintDoublets and at most 224 (seven words).
 func New(size int) *Reg {
 	if size < FootprintDoublets || 2*size > 64*maxWords {
 		panic(fmt.Sprintf("phr: unsupported size %d", size))
@@ -319,7 +178,6 @@ func (r *Reg) SetDoublet(i int, v Doublet) {
 	if i < 0 || i >= r.size {
 		panic(fmt.Sprintf("phr: doublet %d out of range [0,%d)", i, r.size))
 	}
-	r.invalidateFolds()
 	b := 2 * uint(i)
 	r.w[b/64] = r.w[b/64]&^(3<<(b%64)) | uint64(v&3)<<(b%64)
 	r.gen++
@@ -328,7 +186,6 @@ func (r *Reg) SetDoublet(i int, v Doublet) {
 // Clear resets the PHR to all zeros, the state produced by shifting in Size
 // zero-footprint taken branches.
 func (r *Reg) Clear() {
-	r.invalidateFolds()
 	r.w = [maxWords]uint64{}
 	r.gen++
 }
@@ -344,7 +201,6 @@ func (r *Reg) Shift(n int) {
 		r.Clear()
 		return
 	}
-	r.invalidateFolds()
 	bits := 2 * uint(n)
 	wordShift := int(bits / 64)
 	bitShift := bits % 64
@@ -368,9 +224,6 @@ func (r *Reg) Shift(n int) {
 // modeled register sizes (7 words on Alder/Raptor Lake, 3 on Skylake); this
 // is the single hottest operation in the simulator — once per taken branch.
 func (r *Reg) Update(footprint uint16) {
-	if r.nvalid != 0 {
-		r.pushOp(footprint, false, 0)
-	}
 	w := &r.w
 	switch r.words() {
 	case maxWords:
@@ -403,21 +256,13 @@ func (r *Reg) UpdateBranch(branchAddr, targetAddr uint64) {
 // from the register itself; the caller supplies it as top (use 0 when
 // unknown and track the ambiguity separately).
 func (r *Reg) ReverseUpdate(footprint uint16, top Doublet) {
-	if r.nvalid != 0 {
-		r.pushOp(footprint, true, top)
-	}
 	r.w[0] ^= uint64(footprint)
 	nw := r.words()
 	for i := 0; i < nw-1; i++ {
 		r.w[i] = r.w[i]>>2 | r.w[i+1]<<62
 	}
 	r.w[nw-1] >>= 2
-	r.gen++
 	r.mask()
-	// Set the recovered top doublet in place; unlike SetDoublet this must
-	// not invalidate the fold cache (the deferred op already accounts for
-	// the incoming doublet). Gen advances twice, matching the historical
-	// Update-then-SetDoublet sequence.
 	b := 2 * uint(r.size-1)
 	r.w[b/64] = r.w[b/64]&^(3<<(b%64)) | uint64(top&3)<<(b%64)
 	r.gen++
@@ -442,11 +287,6 @@ func (r *Reg) CopyFrom(src *Reg) {
 		panic(fmt.Sprintf("phr: size mismatch %d != %d", r.size, src.size))
 	}
 	r.w = src.w
-	r.folds = src.folds
-	r.ops = src.ops
-	r.nops = src.nops
-	r.nvalid = src.nvalid
-	r.nextSlot = src.nextSlot
 	r.gen++
 }
 
@@ -483,7 +323,6 @@ func (r *Reg) AppendDoublets(dst []Doublet) []Doublet {
 // SetDoublets loads the PHR from a doublet slice (index 0 most recent).
 // Extra input doublets are ignored; missing ones are zero-filled.
 func (r *Reg) SetDoublets(ds []Doublet) {
-	r.invalidateFolds()
 	r.w = [maxWords]uint64{}
 	for i := 0; i < r.size && i < len(ds); i++ {
 		b := 2 * uint(i)
@@ -497,10 +336,6 @@ func (r *Reg) SetDoublets(ds []Doublet) {
 // chunks (LSB first) that are XORed together. This is the history
 // compression used to index the pattern history tables.
 //
-// Results are served from the register's incremental FoldCache when
-// possible: each cached (histLen, width) value is advanced in O(1) per
-// pending Update/ReverseUpdate instead of re-folding the packed words.
-//
 // The exact folding polynomial of Intel's hardware is not public; any fold
 // with good mixing preserves the collision properties the attacks rely on
 // (identical (PC, PHR) pairs collide, different PHRs almost never do). See
@@ -512,33 +347,7 @@ func (r *Reg) Fold(histLen, width int) uint32 {
 	if width <= 0 || width > 32 {
 		panic("phr: fold width out of range")
 	}
-	if histLen < 1 || width < 3 {
-		// Degenerate parameters: no incremental form worth keeping.
-		return r.foldFull(histLen, width)
-	}
-	// Content-keyed fast path first: it needs no op replay, so in steady
-	// loop state the deferred-op ring fills, the incremental entries give
-	// up, and taken branches stop paying pushOp entirely.
-	cid := r.ContentID()
-	key := uint32(histLen)<<8 | uint32(width)<<1
-	ce := &r.cvals[cvalIndex(cid, key)]
-	if ce.cid == cid && ce.key == key {
-		return ce.val
-	}
-	if r.nops > 0 {
-		r.flushOps()
-	}
-	for s := range r.folds {
-		e := &r.folds[s]
-		if e.valid && int(e.histLen) == histLen && int(e.width) == width {
-			*ce = cvalEntry{cid: cid, key: key, val: e.val}
-			return e.val
-		}
-	}
-	v := r.foldFull(histLen, width)
-	r.installFold(histLen, width, v)
-	*ce = cvalEntry{cid: cid, key: key, val: v}
-	return v
+	return r.foldFull(histLen, width)
 }
 
 // foldFull recomputes Fold from the packed words. Beyond the byte-fold
@@ -611,13 +420,6 @@ func (r *Reg) foldFull(histLen, width int) uint32 {
 // plain index fold over the same history window, so (index, tag) pairs
 // carry close to their nominal combined entropy. Hardware similarly uses
 // two distinct hash functions for index and tag.
-//
-// The chunk rotation makes FoldMix order-dependent, so unlike Fold it has
-// no O(1) incremental form under the <<2 register shift; it is computed by
-// streaming words and memoized in the content-keyed cache (see contentID):
-// a fold value is a pure function of register content, so any recurrence of
-// a content — in particular the periodic contents of every hot loop —
-// serves from the cache without touching the words.
 func (r *Reg) FoldMix(histLen, width int) uint32 {
 	if histLen > r.size {
 		histLen = r.size
@@ -625,21 +427,6 @@ func (r *Reg) FoldMix(histLen, width int) uint32 {
 	if width <= 2 || width > 32 {
 		panic("phr: fold width out of range")
 	}
-	if histLen < 1 {
-		return r.foldMixValue(histLen, width)
-	}
-	cid := r.ContentID()
-	key := uint32(histLen)<<8 | uint32(width)<<1 | 1
-	e := &r.cvals[cvalIndex(cid, key)]
-	if e.cid == cid && e.key == key {
-		return e.val
-	}
-	v := r.foldMixValue(histLen, width)
-	*e = cvalEntry{cid: cid, key: key, val: v}
-	return v
-}
-
-func (r *Reg) foldMixValue(histLen, width int) uint32 {
 	if width == 12 {
 		return r.foldMix12(histLen)
 	}
@@ -752,145 +539,6 @@ func (r *Reg) foldMixFull(histLen, width int) uint32 {
 		acc = ((acc<<3 | acc>>(w-3)) & mask) ^ buf
 	}
 	return uint32(acc)
-}
-
-// invalidateFolds drops every cached fold and pending op; called by the
-// structural mutators whose effect on a fold is not O(1).
-func (r *Reg) invalidateFolds() {
-	if r.nvalid == 0 && r.nops == 0 {
-		return
-	}
-	for s := range r.folds {
-		r.folds[s].valid = false
-	}
-	r.nvalid = 0
-	r.nops = 0
-}
-
-// pushOp defers one Update (rev=false) or ReverseUpdate (rev=true) for the
-// cached folds, capturing the window-top doublet each entry will need. A
-// full ring means a fold-free run of branches long enough that incremental
-// replay would cost more than recomputing, so the cache gives up instead.
-func (r *Reg) pushOp(fp uint16, rev bool, top Doublet) {
-	if r.nops == foldOpsCap {
-		r.invalidateFolds()
-		return
-	}
-	op := &r.ops[r.nops]
-	op.fp, op.rev = fp, rev
-	if rev {
-		op.low = uint8(r.w[0]^uint64(fp)) & 3
-	}
-	for s := range r.folds {
-		e := &r.folds[s]
-		if !e.valid {
-			continue
-		}
-		h := int(e.histLen)
-		if !rev {
-			// h-1 is in range by construction (folds only cache
-			// 1 <= histLen <= size), so read the doublet unchecked.
-			b := 2 * uint(h-1)
-			op.tops[s] = Doublet(r.w[b/64]>>(b%64)) & 3
-			continue
-		}
-		// Reverse: the doublet entering the top of the window. For a
-		// full-size window it is the caller-supplied recovered doublet;
-		// otherwise it is the next doublet up in the register (with the
-		// footprint removed when the window is shorter than 8 doublets).
-		switch {
-		case h == r.size:
-			op.tops[s] = top & 3
-		case h < FootprintDoublets:
-			op.tops[s] = uint8((r.w[0]^uint64(fp))>>(2*uint(h))) & 3
-		default:
-			op.tops[s] = r.Doublet(h)
-		}
-	}
-	r.nops++
-}
-
-// flushOps replays the deferred ops against every valid fold entry.
-func (r *Reg) flushOps() {
-	for i := 0; i < r.nops; i++ {
-		op := &r.ops[i]
-		for s := range r.folds {
-			e := &r.folds[s]
-			if !e.valid {
-				continue
-			}
-			w := uint(e.width)
-			mask := uint32(1)<<w - 1
-			top := uint32(op.tops[s])
-			fp := foldFP(op.fp&e.fpMask, w, mask)
-			if !op.rev {
-				// F' = rotl2(F) ^ outgoing-top bits ^ fold(fp).
-				v := (e.val<<2 | e.val>>(w-2)) & mask
-				v ^= (top & 1) << e.posB
-				v ^= (top >> 1 & 1) << e.posB1
-				e.val = v ^ fp
-			} else {
-				// F' = rotr2(F ^ fold(fp) ^ low bits ^ incoming-top bits).
-				v := e.val ^ fp ^ uint32(op.low&3)
-				v ^= (top & 1) << e.posB
-				v ^= (top >> 1 & 1) << e.posB1
-				e.val = (v>>2 | v<<(w-2)) & mask
-			}
-		}
-	}
-	r.nops = 0
-}
-
-// foldFP folds a footprint's contribution into a width-bit chunk. A 16-bit
-// footprint spans at most two chunks once w >= 8 and one chunk once w >= 16,
-// so the common fold widths (8 for indices, 12 for tags) reduce to closed
-// forms; the loop remains for narrow widths.
-func foldFP(fp uint16, w uint, mask uint32) uint32 {
-	v := uint32(fp)
-	switch {
-	case w >= 16:
-		return v & mask
-	case w >= 8:
-		return (v ^ v>>w) & mask
-	}
-	var acc uint32
-	for v != 0 {
-		acc ^= v & mask
-		v >>= w
-	}
-	return acc
-}
-
-// installFold caches a freshly computed fold, evicting round-robin when all
-// slots are live.
-func (r *Reg) installFold(histLen, width int, val uint32) {
-	slot := -1
-	for s := range r.folds {
-		if !r.folds[s].valid {
-			slot = s
-			break
-		}
-	}
-	if slot < 0 {
-		slot = r.nextSlot
-		r.nextSlot = (r.nextSlot + 1) % foldSlots
-	} else {
-		r.nvalid++
-	}
-	b := 2 * histLen
-	fpMask := uint16(0xffff)
-	if b < 16 {
-		fpMask = uint16(1)<<uint(b) - 1
-	}
-	r.folds[slot] = foldEntry{
-		valid:   true,
-		histLen: int32(histLen),
-		width:   int32(width),
-		val:     val,
-		posB:    uint8(b % width),
-		posB1:   uint8((b + 1) % width),
-		fpMask:  fpMask,
-	}
 }
 
 // String renders the PHR as doublets from most significant (oldest) to

@@ -7,11 +7,11 @@ import (
 )
 
 // Wire codec for the register, used by the cpu.Snapshot binary encoding.
-// Only the observable content travels — size plus the words in use. Fold
-// memos, pending fold ops and the generation counter are derived or
-// process-local state: a decoded register starts with an empty fold cache
-// exactly like a freshly built one, and the cpu restore path goes through
-// CopyFrom, which bumps the destination's generation itself.
+// Only the observable content travels — size plus the words in use. The
+// generation counter is process-local: decoding advances the destination's
+// counter like any other mutation, so a (register, Gen) fold memo can never
+// match the decoded content, and the cpu restore path goes through CopyFrom,
+// which bumps the destination's generation itself.
 
 // EncodeWire appends the register's observable content to w.
 func (r *Reg) EncodeWire(w *wire.Writer) {
@@ -21,8 +21,7 @@ func (r *Reg) EncodeWire(w *wire.Writer) {
 	}
 }
 
-// DecodeWire reads a register from rd, replacing r with a memo-clean
-// register holding the decoded content.
+// DecodeWire reads a register from rd, replacing r's size and content.
 func (r *Reg) DecodeWire(rd *wire.Reader) {
 	size := int(rd.U32())
 	if rd.Err() != nil {
@@ -43,5 +42,6 @@ func (r *Reg) DecodeWire(rd *wire.Reader) {
 		rd.Fail(fmt.Errorf("phr: wire top word has bits beyond size %d", size))
 		return
 	}
+	fresh.gen = r.gen + 1
 	*r = *fresh
 }

@@ -153,43 +153,12 @@ type TaggedTable struct {
 	HistLen int
 	sets    [Sets][Ways]Entry
 
-	// Fold memoization: predictors look up the same (pc, history) several
-	// times per branch (predict, update, allocate); the folds dominate the
-	// simulator's hot path.
-	memoReg phr.History
-	memoGen uint64
-	memoPC  uint64
-	memoIdx uint32
-	memoTag uint32
-	memoOK  bool
-
-	// locMemos is the concrete-path memo: (index, tag) pairs keyed by
-	// (register, content id, pc), direct-mapped by PC. Content ids recur
-	// every loop iteration (unlike gens, which move on every mutation), so
-	// in steady loop state locateReg serves from here without folding at
-	// all. Entries are pure functions of their key and so never need
-	// invalidation; Reset clears them only for hygiene.
-	locMemos [locSlots]locMemo
-
 	// dirty has one bit per set. A set is marked when an entry pointer
 	// escapes via lookupAt (the bpu layer mutates Ctr/Useful through it),
 	// when allocateAt touches it (a failed allocation still decrements
 	// usefulness), and on the bulk mutators. RestoreDirty copies only the
 	// marked sets.
 	dirty [Sets / 64]uint64
-}
-
-// locSlots sizes the per-table locate memo: loops with up to locSlots
-// conditional branches (mapping distinctly) fold each branch's index and
-// tag once per content cycle.
-const locSlots = 8
-
-type locMemo struct {
-	reg *phr.Reg // nil = empty
-	cid uint64
-	pc  uint64
-	idx uint32
-	tag uint32
 }
 
 // NewTagged returns an empty tagged table over histLen doublets of history.
@@ -200,63 +169,53 @@ func NewTagged(histLen int) *TaggedTable {
 	return &TaggedTable{HistLen: histLen}
 }
 
+// Folds is the part of a table's index and tag that depends only on the path
+// history: Fold(HistLen, 8) and FoldMix(HistLen, TagBits), before any PC bit
+// is mixed in. It is a pure function of register content, which is what
+// lets the CBP cache it by content (internal/bpu).
+type Folds struct {
+	Index uint8
+	Tag   uint16
+}
+
+// Folds folds h for this table.
+func (t *TaggedTable) Folds(h phr.History) Folds {
+	return Folds{Index: uint8(h.Fold(t.HistLen, 8)), Tag: uint16(h.FoldMix(t.HistLen, TagBits))}
+}
+
+// Locate mixes the branch PC into f, giving the set index and the tag. It is
+// the one place the PC enters tagged-table addressing: PC bit 5 becomes
+// index bit 8 (Figure 3), and PC bits 15:0 fold into the tag. Only those
+// sixteen bits ever participate, which is what lets an attacker branch at a
+// different page alias a victim branch with equal low address bits.
+func (f Folds) Locate(pc uint64) (index, tag uint32) {
+	p := uint32(pc) & 0xffff
+	return uint32(f.Index) | (uint32(pc>>5)&1)<<8, (uint32(f.Tag) ^ p ^ p>>7) & (1<<TagBits - 1)
+}
+
 // Index computes the 9-bit set index: eight bits of folded history plus
-// PC bit 5 (Figure 3). Only PC bits 15:0 ever participate in tagged-table
-// addressing, which is what lets an attacker branch at a different page
-// alias a victim branch with equal low address bits.
+// PC bit 5.
 func (t *TaggedTable) Index(pc uint64, h phr.History) uint32 {
-	fold := h.Fold(t.HistLen, 8)
-	return fold | (uint32(pc>>5)&1)<<8
+	idx, _ := Folds{Index: uint8(h.Fold(t.HistLen, 8))}.Locate(pc)
+	return idx
 }
 
 // Tag computes the entry tag from a longer history fold mixed with the low
 // PC bits.
 func (t *TaggedTable) Tag(pc uint64, h phr.History) uint32 {
-	fold := h.FoldMix(t.HistLen, TagBits)
-	p := uint32(pc) & 0xffff
-	return (fold ^ p ^ p>>7) & (1<<TagBits - 1)
-}
-
-// locate returns the (index, tag) pair for (pc, h), memoizing the folds.
-func (t *TaggedTable) locate(pc uint64, h phr.History) (uint32, uint32) {
-	if t.memoOK && t.memoReg == h && t.memoGen == h.Gen() && t.memoPC == pc {
-		return t.memoIdx, t.memoTag
-	}
-	idx, tag := t.Index(pc, h), t.Tag(pc, h)
-	t.memoReg, t.memoGen, t.memoPC = h, h.Gen(), pc
-	t.memoIdx, t.memoTag, t.memoOK = idx, tag, true
-	return idx, tag
-}
-
-// locateReg is locate specialized to the concrete *phr.Reg: the fold calls
-// devirtualize, and the memo is keyed by content id rather than gen, so it
-// keeps hitting across register mutations whenever a loop returns the
-// history to a content already located. It sits under every
-// predict/update/allocate on the simulator hot path.
-func (t *TaggedTable) locateReg(pc uint64, r *phr.Reg) (uint32, uint32) {
-	cid := r.ContentID()
-	m := &t.locMemos[(pc>>2^pc>>9)&(locSlots-1)]
-	if m.reg == r && m.cid == cid && m.pc == pc {
-		return m.idx, m.tag
-	}
-	idx := r.Fold(t.HistLen, 8) | (uint32(pc>>5)&1)<<8
-	p := uint32(pc) & 0xffff
-	tag := (r.FoldMix(t.HistLen, TagBits) ^ p ^ p>>7) & (1<<TagBits - 1)
-	*m = locMemo{reg: r, cid: cid, pc: pc, idx: idx, tag: tag}
-	return idx, tag
+	_, tag := Folds{Tag: uint16(h.FoldMix(t.HistLen, TagBits))}.Locate(pc)
+	return tag
 }
 
 // Lookup finds the entry matching (pc, h). It returns the entry pointer and
 // true on a tag hit.
 func (t *TaggedTable) Lookup(pc uint64, h phr.History) (*Entry, bool) {
-	idx, tag := t.locate(pc, h)
-	return t.lookupAt(idx, tag)
+	return t.LookupFolds(pc, t.Folds(h))
 }
 
-// LookupReg is Lookup specialized to the concrete *phr.Reg.
-func (t *TaggedTable) LookupReg(pc uint64, r *phr.Reg) (*Entry, bool) {
-	idx, tag := t.locateReg(pc, r)
-	return t.lookupAt(idx, tag)
+// LookupFolds is Lookup for a history already folded for this table.
+func (t *TaggedTable) LookupFolds(pc uint64, f Folds) (*Entry, bool) {
+	return t.lookupAt(f.Locate(pc))
 }
 
 func (t *TaggedTable) lookupAt(idx, tag uint32) (*Entry, bool) {
@@ -279,13 +238,12 @@ func (t *TaggedTable) lookupAt(idx, tag uint32) (*Entry, bool) {
 // all usefulness counters and allocates nothing, per TAGE replacement.
 // It reports whether an entry was inserted.
 func (t *TaggedTable) Allocate(pc uint64, h phr.History, taken bool) bool {
-	idx, tag := t.locate(pc, h)
-	return t.allocateAt(idx, tag, taken)
+	return t.AllocateFolds(pc, t.Folds(h), taken)
 }
 
-// AllocateReg is Allocate specialized to the concrete *phr.Reg.
-func (t *TaggedTable) AllocateReg(pc uint64, r *phr.Reg, taken bool) bool {
-	idx, tag := t.locateReg(pc, r)
+// AllocateFolds is Allocate for a history already folded for this table.
+func (t *TaggedTable) AllocateFolds(pc uint64, f Folds, taken bool) bool {
+	idx, tag := f.Locate(pc)
 	return t.allocateAt(idx, tag, taken)
 }
 
@@ -343,8 +301,6 @@ func (t *TaggedTable) Reset() {
 			t.sets[s][w] = Entry{}
 		}
 	}
-	t.memoOK = false
-	t.locMemos = [locSlots]locMemo{}
 }
 
 // Dump renders every valid entry as "set/way tag ctr useful", one per line,

@@ -60,8 +60,7 @@ func (s *BaseState) Hash(h uint64) uint64 {
 }
 
 // TaggedState is a saved TaggedTable: the entry array, copied as one value
-// assignment. The fold memo is deliberately absent — it is derived state,
-// and Restore invalidates it on the destination.
+// assignment.
 type TaggedState struct {
 	histLen int
 	sets    [Sets][Ways]Entry
@@ -73,21 +72,18 @@ func (t *TaggedTable) Save(dst *TaggedState) {
 	dst.sets = t.sets
 }
 
-// Restore overwrites the table's entries from a saved state and drops the
-// fold memo (it may describe a (pc, history) pair from the other timeline).
+// Restore overwrites the table's entries from a saved state.
 func (t *TaggedTable) Restore(s *TaggedState) {
 	if s.histLen != t.HistLen {
 		panic("pht: restore tagged state with mismatched history length")
 	}
 	t.sets = s.sets
-	t.memoOK = false
 	t.dirty = [Sets / 64]uint64{}
 }
 
 // RestoreDirty copies only the sets whose dirty bit is raised, then clears
-// the bits; the fold memo drops exactly as in Restore (locMemos survive —
-// they are pure functions of their keys). Correct only when every clean set
-// already matches s, per the cpu layer's snapshot-hash sync check.
+// the bits. Correct only when every clean set already matches s, per the cpu
+// layer's snapshot-hash sync check.
 func (t *TaggedTable) RestoreDirty(s *TaggedState) {
 	if s.histLen != t.HistLen {
 		panic("pht: restore tagged state with mismatched history length")
@@ -100,7 +96,6 @@ func (t *TaggedTable) RestoreDirty(s *TaggedState) {
 		}
 		t.dirty[wi] = 0
 	}
-	t.memoOK = false
 }
 
 // Hash folds the saved entries into h. Invalid ways fold as zero so tables

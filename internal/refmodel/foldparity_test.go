@@ -7,13 +7,12 @@ import (
 )
 
 // TestFoldCacheRefModelParity replays >100k random taken branches through
-// the production packed register (whose Fold results come from the
-// incremental FoldCache) and the naive reference PHR side by side, comparing
-// every Table 1 fold after every branch. The production register is
-// additionally churned with exact ReverseUpdate/Update undo-redo pairs and
-// occasional SetDoublet writes mirrored to the reference — both exercise the
-// reverse incremental formula and the cache invalidation paths while keeping
-// the two histories equal.
+// the production packed register (whose Fold and FoldMix stream its packed
+// words) and the naive reference PHR side by side, comparing every Table 1
+// fold after every branch. The production register is additionally churned
+// with exact ReverseUpdate/Update undo-redo pairs and occasional SetDoublet
+// writes mirrored to the reference — both exercise the word-level reverse
+// shift and the structural writers while keeping the two histories equal.
 func TestFoldCacheRefModelParity(t *testing.T) {
 	type win struct{ histLen, width int }
 	for _, cfg := range []struct {
@@ -41,15 +40,14 @@ func TestFoldCacheRefModelParity(t *testing.T) {
 			br, tgt := next(), next()
 			switch step % 50 {
 			case 17:
-				// Structural write, mirrored on both sides: invalidates the
-				// production fold cache.
+				// Structural write, mirrored on both sides.
 				i := int(next() % uint64(cfg.size))
 				v := phr.Doublet(next()) & 3
 				prod.SetDoublet(i, v)
 				ref.SetDoublet(i, v)
 			case 33:
 				// Exact undo-redo churn on the production register only:
-				// net identity, but it runs the reverse incremental path.
+				// net identity, but it runs the reverse update.
 				fp := phr.Footprint(br, tgt)
 				top := prod.Doublet(cfg.size - 1)
 				prod.Update(fp)
