@@ -536,12 +536,11 @@ func TestClusterAESAffinitySkipsTraining(t *testing.T) {
 	if second.Worker != first.Worker {
 		t.Errorf("second job ran on %q, want affinity to %q", second.Worker, first.Worker)
 	}
-	// Warm restores happen at trial-group grain (one batch restore serves a
-	// whole BatchSize group of trials), so a job contributes one hit per
-	// group, not one per trial. The phase-1 key is seed-specific and misses
-	// on every new job by design; the shared "aes-warm" snapshot hitting at
-	// all is what proves the affinity-routed job restored instead of
-	// re-warming.
+	// Every trial looks the shared "aes-warm" snapshot up once, so a job
+	// contributes one hit per trial that restores it. The phase-1 key is
+	// seed-specific and misses on every new job by design; the shared
+	// snapshot hitting at all is what proves the affinity-routed job
+	// restored instead of re-warming.
 	hits1, _ := harness.WarmCacheStats()
 	if hits1 < hits0+1 {
 		t.Errorf("warm hits %d -> %d; the affinity-routed job re-trained instead of restoring", hits0, hits1)

@@ -11,8 +11,10 @@ import (
 // lanes' path history registers sit in one contiguous []phr.Reg, their hart
 // records in one []Hart, and the Machine headers in one []Machine. Trials
 // share no state, so any execution interleaving of lanes is observationally
-// identical; the harness drivers run one batch per claimed index group,
-// recycling lanes between groups so the steady state allocates nothing.
+// identical. No production code builds a batch: the harness drivers run
+// each trial on a pooled Machine. Batch stays as the dense engine's
+// multi-lane test bed — FuzzBatchVsScalar and the batch tests and benchmark
+// run lanes against the scalar interpreter and the refmodel oracle.
 //
 // Lanes are full Machines — Snapshot, RestoreFrom, Recycle and the dense
 // engine all work per lane — plus batch-grain operations: RecycleAll,

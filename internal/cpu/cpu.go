@@ -329,11 +329,11 @@ func initMachine(m *Machine, opts Options, harts []Hart, phrs []phr.Reg) {
 // Recycle resets the machine to the state New(opts) would produce while
 // reusing its large allocations: cache arrays, predictor tables, memory
 // pages, decoded-program state and any attack templates attached to Aux.
-// The sharded harness drivers run one short-lived machine per trial;
-// recycling a worker's machine between trials keeps that steady state
-// allocation-free without weakening the determinism contract — a recycled
-// machine must be observationally identical to a fresh one (the golden and
-// Parallelism-invariance tests pin exactly that).
+// The sharded harness drivers keep idle machines in a process-wide pool and
+// recycle one before every trial attempt, so after the first few jobs they
+// build no machines, without weakening the determinism contract — a
+// recycled machine must be observationally identical to a fresh one (the
+// golden, Parallelism-invariance and machine-reuse tests pin exactly that).
 //
 // opts must describe the same microarchitecture and hart count the machine
 // was built with, and neither the machine nor opts may use a custom
@@ -389,9 +389,10 @@ func (m *Machine) Recycle(opts Options) {
 // state, stats, noise, IBRS) is written once by the restore, and — the
 // point of the fusion — the predictor/cache dirty bitmaps keep describing
 // only the previous trial's footprint, so a machine in restore-sync with s
-// rewinds via the dirty-only copies instead of a full-table pass. The
-// batch drivers' per-trial path is exactly this pair; the equivalence test
-// pins that the fused result is bit-identical to the sequential one.
+// rewinds via the dirty-only copies instead of a full-table pass. A
+// harness trial that starts from a shared warm snapshot takes its pooled
+// machine this way; the equivalence test pins that the fused result is
+// bit-identical to the sequential one.
 //
 // Validation and panics match Recycle plus RestoreFrom. As with the pair,
 // follow with Reseed to move the PRNG streams to the trial's seed.

@@ -10,11 +10,12 @@ import (
 
 // The batch half of the determinism contract: a report is a pure function of
 // (Options, arguments), independent of BatchSize. The trial-group grain only
-// decides which cpu.Batch lane serves a trial — never what the trial
-// computes — so every BatchSize must reproduce the scalar-grain (BatchSize 1)
-// report byte for byte at every Parallelism level. CI runs this file under
-// -race, so any state leaking between the lanes of a shared batch arena
-// surfaces here either as a report mismatch or as a data race.
+// decides which consecutive trials share one pooled machine — never what a
+// trial computes — so every BatchSize must reproduce the scalar-grain
+// (BatchSize 1) report byte for byte at every Parallelism level. CI runs
+// this file under -race, so any state leaking from one trial into the next
+// on a recycled machine surfaces here either as a report mismatch or as a
+// data race.
 
 // batchGrid is the K sweep the invariance tests run: scalar grain, a small
 // explicit grain, the auto-tuned default, and the machine's GOMAXPROCS.
@@ -95,9 +96,9 @@ func TestAESBatchSizeInvariant(t *testing.T) {
 	}
 }
 
-// TestAESWarmCacheBatchSizeInvariant pins the batch-grain warm-start path:
-// with noise 0 and the warm-state cache on, a whole trial group is restored
-// from one shared snapshot via Batch.RestoreAll, then reseeded lane by lane.
+// TestAESWarmCacheBatchSizeInvariant pins the warm-start path: with noise 0
+// and the warm-state cache on, every trial after the donor restores its
+// pooled machine from one shared snapshot, then reseeds it.
 // The report must still match the cache-off, scalar-grain sequential run at
 // every BatchSize, with the cache cold and already populated.
 func TestAESWarmCacheBatchSizeInvariant(t *testing.T) {
@@ -173,4 +174,20 @@ func TestFaultedBatchSizeInvariant(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBatchSizeSizesNoAllocation pins that BatchSize only sets how many
+// consecutive trials a worker claims and sizes no allocation: a one-trial
+// call at grain 256 must not build a machine per unit of grain (about
+// 1.27 MB each), whatever batch_size a service client sends.
+func TestBatchSizeSizesNoAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadPHRRandomEval(context.Background(), Options{BatchSize: 256}, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 32 {
+		t.Errorf("one trial at BatchSize 256 allocated %.1f MB, want < 32 MB", mb)
+	}
 }

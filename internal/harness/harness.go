@@ -11,9 +11,10 @@
 // Lake, the per-driver default seed), so recorded golden results don't move.
 //
 // The drivers whose iterations are independent (ReadPHRRandomEval,
-// Fig7ImageRecovery, AESLeakEval) shard them across a bounded worker pool.
-// Every trial runs on its own machine whose seed derives from the trial
-// index alone, so a report is a pure function of (Options, arguments):
+// Fig7ImageRecovery, AESLeakEval) shard them across a bounded worker pool
+// through one trial runner (runTrials). Every trial runs on a pooled
+// machine recycled to a seed derived from the trial index alone, so a
+// report is a pure function of (Options, arguments):
 // byte-identical at every Parallelism level, including the sequential
 // Parallelism: 1 path the determinism tests pin the pool against.
 package harness
@@ -74,12 +75,10 @@ type Options struct {
 	Parallelism int
 
 	// BatchSize is the trial-group grain of the sharded drivers: each worker
-	// claims BatchSize consecutive trial indices at a time and runs them on
-	// the lanes of one cpu.Batch, whose machines (PHRs with their fold
-	// caches, harts, headers) live in shared structure-of-arrays arenas, with
-	// warm-cache snapshot restore applied at batch grain. 0 selects the
-	// auto-tuned default (defaultBatchSize), 1 degenerates to the per-trial
-	// path. Per-trial work is a pure function of the trial index, so the
+	// claims BatchSize consecutive trial indices at a time and runs them in
+	// index order on one pooled machine, so the grain only balances load
+	// across workers. 0 selects defaultBatchSize, 1 claims one trial at a
+	// time. Per-trial work is a pure function of the trial index, so the
 	// report is byte-identical at every setting — the BatchSize-invariance
 	// tests pin that.
 	BatchSize int
@@ -108,12 +107,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// defaultBatchSize is the auto-tuned trial-group grain. Eight lanes keep a
-// batch's arena (eight 80-byte PHRs, harts and machine headers, ~12 KiB)
-// comfortably inside L1 while amortizing group claiming; because any grain
-// yields a byte-identical report, the constant only trades scheduling
-// overhead against load balance and can move freely. See EXPERIMENTS.md for
-// the tuning recipe.
+// defaultBatchSize is the trial-group grain when Options.BatchSize is 0.
+// Any grain yields a byte-identical report, so the constant only trades
+// group-claiming overhead against load balance across workers and can move
+// freely; no measurement has picked it yet. See EXPERIMENTS.md for the
+// tuning recipe.
 const defaultBatchSize = 8
 
 // batchSize resolves the trial-group grain for the sharded drivers.
@@ -122,6 +120,15 @@ func (o Options) batchSize() int {
 		return o.BatchSize
 	}
 	return defaultBatchSize
+}
+
+// arch resolves the modeled microarchitecture: the zero value means Alder
+// Lake, as it does for cpu.New.
+func (o Options) arch() bpu.Config {
+	if o.Arch.PHRSize == 0 {
+		return bpu.AlderLake
+	}
+	return o.Arch
 }
 
 // seed resolves the base seed against the driver's historical default.
@@ -297,61 +304,39 @@ func ReadPHRRandomEval(ctx context.Context, opts Options, trials, doublets int) 
 		return nil, err
 	}
 	seed := opts.seed(DefaultReadPHRSeed)
-	rep := &ReadPHRReport{Trials: trials, Doublets: doublets}
 	oks := make([]bool, trials)
-	fails := make([]bool, trials)
-	stats := make([]cpu.Counters, trials)
-	bp := &batchPool{disabled: opts.RefModel, k: opts.batchSize()}
-	err := shardGroups(ctx, opts.workers(), bp.k, trials, func(lo, hi int) error {
-		b := bp.get(opts.cpu(seed))
-		for t := lo; t < hi; t++ {
-			j := t - lo
-			rerr := Retry{}.Do(ctx, seed+int64(t), func(attempt int) error {
-				m := bp.lane(b, j, opts.cpu(seed+int64(t)+retryReseed*int64(attempt)))
-				// The written value is the trial's identity: fixed across
-				// attempts, only the machine seed is redrawn.
-				val := randomReg(m.Arch().PHRSize, seed*31+int64(t))
-				v := phrWriterVictim(val)
-				truth, err := core.CaptureVictimPHR(m, v)
-				if err != nil {
-					stats[t].Add(m.Stats())
-					return err
-				}
-				got, err := core.ReadPHR(m, v, core.ReadPHROptions{MaxDoublets: doublets})
-				if err != nil {
-					stats[t].Add(m.Stats())
-					return err
-				}
-				stats[t].Add(m.Stats())
-				ok := true
-				for k := 0; k < doublets; k++ {
-					if got.Doublet(k) != truth.Doublet(k) {
-						ok = false
-						break
-					}
-				}
-				oks[t] = ok
-				return nil
-			})
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return rerr
-				}
-				fails[t] = true
+	errs, stats, err := runTrials(ctx, opts, trials, func(mach machFunc, t, attempt int) error {
+		m := mach(opts.cpu(seed+int64(t)+retryReseed*int64(attempt)), nil)
+		// The written value is the trial's identity: fixed across attempts,
+		// only the machine seed is redrawn.
+		val := randomReg(m.Arch().PHRSize, seed*31+int64(t))
+		v := phrWriterVictim(val)
+		truth, err := core.CaptureVictimPHR(m, v)
+		if err != nil {
+			return err
+		}
+		got, err := core.ReadPHR(m, v, core.ReadPHROptions{MaxDoublets: doublets})
+		if err != nil {
+			return err
+		}
+		oks[t] = true
+		for k := 0; k < doublets; k++ {
+			if got.Doublet(k) != truth.Doublet(k) {
+				oks[t] = false
+				break
 			}
 		}
-		bp.put(b)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	rep := &ReadPHRReport{Trials: trials, Doublets: doublets, Stats: stats}
 	for t := 0; t < trials; t++ {
-		rep.Stats.Add(stats[t])
 		if oks[t] {
 			rep.Successes++
 		}
-		if fails[t] {
+		if errs[t] != nil {
 			rep.Failures++
 		}
 	}
@@ -570,7 +555,9 @@ type Fig7Report struct {
 // doublet below the read threshold — the §4.2 read is itself probabilistic
 // — and a fresh machine seed redraws every training coin in the capture);
 // if every attempt fails the sweep records the error in that image's result
-// and continues instead of aborting.
+// and continues instead of aborting. Only the recovery is retried: images
+// are encoded before the trials run and scored afterwards, and an encode or
+// score error aborts the call.
 func Fig7ImageRecovery(ctx context.Context, opts Options, size, quality, maxImages int) (*Fig7Report, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -580,73 +567,61 @@ func Fig7ImageRecovery(ctx context.Context, opts Options, size, quality, maxImag
 	if maxImages > 0 && maxImages < len(set) {
 		set = set[:maxImages]
 	}
-	rep := &Fig7Report{}
-	results := make([]Fig7Result, len(set))
-	stats := make([]cpu.Counters, len(set))
-	bp := &batchPool{disabled: opts.RefModel, k: opts.batchSize()}
-	err := shardGroups(ctx, opts.workers(), bp.k, len(set), func(lo, hi int) error {
-		bat := bp.get(opts.cpu(seed))
-		for i := lo; i < hi; i++ {
-			entry := set[i]
-			enc, err := jpeg.Encode(entry.Image.Pix, entry.Image.W, entry.Image.H, quality)
-			if err != nil {
-				return err
-			}
-			_, blocks, err := jpeg.DecodeBlocks(enc)
-			if err != nil {
-				return err
-			}
-			var res *attack.ImageResult
-			rerr := Retry{}.Do(ctx, seed+int64(i), func(attempt int) error {
-				// The 1000-stride attempt reseed predates the shared Retry
-				// policy; it is kept so the recorded goldens stay valid.
-				tm := bp.lane(bat, i-lo, opts.cpu(seed+int64(i)+1000*int64(attempt)))
-				ir := &attack.ImageRecovery{M: tm}
-				res, err = ir.Recover(enc)
-				stats[i].Add(tm.Stats())
-				return err
-			})
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return rerr
-				}
-				results[i] = Fig7Result{Name: entry.Name, Err: fmt.Sprintf("harness: image %s: %v", entry.Name, rerr)}
-				continue
-			}
-			wantCols, wantRows := attack.GroundTruthFlags(blocks)
-			correct, total := 0, 0
-			for b := range blocks {
-				for k := 0; k < 8; k++ {
-					if res.ConstCols[b][k] == wantCols[b][k] {
-						correct++
-					}
-					if res.ConstRows[b][k] == wantRows[b][k] {
-						correct++
-					}
-					total += 2
-				}
-			}
-			if err := res.Score(entry.Image); err != nil {
-				return err
-			}
-			results[i] = Fig7Result{
-				Name:            entry.Name,
-				TakenBranches:   res.TakenBranches,
-				FlagAccuracy:    float64(correct) / float64(total),
-				EdgeCorrelation: res.EdgeCorrelation,
-				Recovered:       res.Recovered,
-			}
+	encs := make([][]byte, len(set))
+	blocks := make([][]jpeg.Block, len(set))
+	for i, entry := range set {
+		enc, err := jpeg.Encode(entry.Image.Pix, entry.Image.W, entry.Image.H, quality)
+		if err != nil {
+			return nil, err
 		}
-		bp.put(bat)
-		return nil
+		if _, blocks[i], err = jpeg.DecodeBlocks(enc); err != nil {
+			return nil, err
+		}
+		encs[i] = enc
+	}
+	recs := make([]*attack.ImageResult, len(set))
+	errs, stats, err := runTrials(ctx, opts, len(set), func(mach machFunc, i, attempt int) error {
+		// The 1000-stride attempt reseed predates the shared Retry policy;
+		// it is kept so the recorded goldens stay valid.
+		ir := &attack.ImageRecovery{M: mach(opts.cpu(seed+int64(i)+1000*int64(attempt)), nil)}
+		var err error
+		recs[i], err = ir.Recover(encs[i])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range results {
-		rep.Stats.Add(stats[i])
+	rep := &Fig7Report{Images: make([]Fig7Result, len(set)), Stats: stats}
+	for i, entry := range set {
+		if errs[i] != nil {
+			rep.Images[i] = Fig7Result{Name: entry.Name, Err: fmt.Sprintf("harness: image %s: %v", entry.Name, errs[i])}
+			continue
+		}
+		res := recs[i]
+		wantCols, wantRows := attack.GroundTruthFlags(blocks[i])
+		correct, total := 0, 0
+		for b := range blocks[i] {
+			for k := 0; k < 8; k++ {
+				if res.ConstCols[b][k] == wantCols[b][k] {
+					correct++
+				}
+				if res.ConstRows[b][k] == wantRows[b][k] {
+					correct++
+				}
+				total += 2
+			}
+		}
+		if err := res.Score(entry.Image); err != nil {
+			return nil, err
+		}
+		rep.Images[i] = Fig7Result{
+			Name:            entry.Name,
+			TakenBranches:   res.TakenBranches,
+			FlagAccuracy:    float64(correct) / float64(total),
+			EdgeCorrelation: res.EdgeCorrelation,
+			Recovered:       res.Recovered,
+		}
 	}
-	rep.Images = results
 	return rep, nil
 }
 
@@ -676,10 +651,7 @@ var aesEvalKey = []byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 // deliberately omits the fault profile — the primary machine is
 // fault-exempt — so a noise-intensity ladder shares one recovery.
 func aesPhase1Key(opts Options, noise float64) WarmStateKey {
-	cfg := opts.Arch
-	if cfg.PHRSize == 0 {
-		cfg = bpu.AlderLake
-	}
+	cfg := opts.arch()
 	return WarmStateKey{
 		Kind:    "aes-phase1",
 		Arch:    cfg.Name,
@@ -697,10 +669,12 @@ func aesPhase1Key(opts Options, noise float64) WarmStateKey {
 //
 // Phase 1 (control-flow recovery) and the final key recovery run on the
 // primary machine; the per-trial oracle queries run on forked attacks, each
-// on a fresh machine seeded by the trial index, warmed with two unpoisoned
-// capture runs, and shard across the options' worker pool. Plaintexts and
-// early-exit counts for every trial are drawn from a single stream before
-// sharding, so the report is byte-identical at every Parallelism level.
+// on a pooled machine recycled to a seed derived from the trial index and
+// warmed with two unpoisoned capture runs (or restored from a shared
+// post-warm snapshot, below), and shard across the options' worker pool.
+// Plaintexts and early-exit counts for every trial are drawn from a single
+// stream before sharding, so the report is byte-identical at every
+// Parallelism level.
 func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (*AESEvalResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -733,14 +707,8 @@ func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (
 		// bit-exact, because the snapshot captures every PRNG stream and
 		// all predictor/cache state, and the driver rewrites every memory
 		// value it later reads (plaintexts, probe flushes, PHT writes).
-		k := warmKey{
-			kind:    "aes-phase1",
-			arch:    m.Arch().Name,
-			phrSize: m.Arch().PHRSize,
-			prog:    hashBytes(key),
-			seed:    seed,
-			noise:   noise,
-		}
+		// The sweeps prefetch under the same aesPhase1Key.
+		k := aesPhase1Key(opts, noise).internal()
 		e, werr := warm.do(k, func() (*warmEntry, error) {
 			if err := a.RecoverControlFlow(); err != nil {
 				return nil, err
@@ -788,119 +756,62 @@ func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (
 		}
 	}
 	successes := make([]int, trials)
-	fails := make([]bool, trials)
-	stats := make([]cpu.Counters, trials)
-	trialCPU := func(t, attempt int) cpu.Options {
+	errs, stats, err := runTrials(ctx, opts, trials, func(mach machFunc, t, attempt int) error {
 		tco := opts.cpu(seed + 7919*int64(t+1) + retryReseed*int64(attempt))
 		tco.Noise = noise
-		return tco
-	}
-	bp := &batchPool{disabled: opts.RefModel, k: opts.batchSize()}
-	err = shardGroups(ctx, opts.workers(), bp.k, trials, func(lo, hi int) error {
-		b := bp.get(opts.cpu(seed))
-		// Batch-grain warm restore: claim the shared post-warm snapshot once
-		// per group, recycle every lane to its trial's options and fan the
-		// snapshot across the batch; each trial then only Reseeds its lane.
-		// getOrFetch consults the cluster fetch hook on a local miss, so a
-		// worker whose peer already trained this exact warm state restores
-		// the fetched snapshot instead of re-warming.
-		var we *warmEntry
-		if shareWarm && b != nil {
+		// getOrFetch consults the snapshot store and the cluster fetch hook
+		// on a local miss, so a worker whose peer already trained this warm
+		// state restores the fetched snapshot instead of re-warming.
+		var donor *cpu.Snapshot
+		if shareWarm {
 			if e, ok := warm.getOrFetch(warmK); ok {
-				we = e
-				// RecycleRestore instead of Recycle-then-restore: the fused
-				// operation preserves each lane's restore-sync with the shared
-				// snapshot, so from the second group on a lane rewinds by
-				// copying only what its previous trial touched.
-				for t := lo; t < hi; t++ {
-					b.Lane(t-lo).RecycleRestore(trialCPU(t, 0), e.snap)
-				}
+				donor = e.snap
 			}
 		}
-		for t := lo; t < hi; t++ {
-			j := t - lo
-			rerr := Retry{}.Do(ctx, seed+int64(t), func(attempt int) error {
-				tco := trialCPU(t, attempt)
-				// Attempt 0 of a warm group runs on the lane exactly as the
-				// group entry prepared it; retries (and cold groups) rebuild
-				// the lane from scratch.
-				preRestored := we != nil && attempt == 0
-				var tm *cpu.Machine
-				if preRestored {
-					tm = b.Lane(j)
-				} else {
-					tm = bp.lane(b, j, tco)
-				}
-				ta, err := a.Fork(tm)
-				if err != nil {
-					stats[t].Add(tm.Stats())
-					return err
-				}
-				warmed := false
-				if preRestored {
-					tm.Reseed(tco.Seed)
-					warmed = true
-				} else if shareWarm {
-					if e, ok := warm.getOrFetch(warmK); ok {
-						tm.RestoreFrom(e.snap)
-						tm.Reseed(tco.Seed)
-						warmed = true
-					}
-				}
-				if !warmed {
-					if err := ta.Warm(2); err != nil {
-						stats[t].Add(tm.Stats())
-						return err
-					}
-					if shareWarm {
-						warm.putIfAbsent(warmK, &warmEntry{snap: tm.Snapshot()})
-					}
-				}
-				leak, ok, err := ta.LeakReducedRound(pts[t], ns[t])
-				if err != nil {
-					stats[t].Add(tm.Stats())
-					return err
-				}
-				want, err := ta.GroundTruthReduced(pts[t], ns[t])
-				if err != nil {
-					stats[t].Add(tm.Stats())
-					return err
-				}
-				n := 0
-				for i := 0; i < 16; i++ {
-					if ok[i] && leak[i] == want[i] {
-						n++
-					}
-				}
-				successes[t] = n
-				stats[t].Add(tm.Stats())
-				return nil
-			})
-			if rerr != nil {
-				if ctx.Err() != nil {
-					return rerr
-				}
-				fails[t] = true
+		tm := mach(tco, donor)
+		ta, err := a.Fork(tm)
+		if err != nil {
+			return err
+		}
+		if donor != nil {
+			tm.Reseed(tco.Seed)
+		} else {
+			if err := ta.Warm(2); err != nil {
+				return err
+			}
+			if shareWarm {
+				warm.putIfAbsent(warmK, &warmEntry{snap: tm.Snapshot()})
 			}
 		}
-		bp.put(b)
+		leak, ok, err := ta.LeakReducedRound(pts[t], ns[t])
+		if err != nil {
+			return err
+		}
+		want, err := ta.GroundTruthReduced(pts[t], ns[t])
+		if err != nil {
+			return err
+		}
+		n := 0
+		for i := 0; i < 16; i++ {
+			if ok[i] && leak[i] == want[i] {
+				n++
+			}
+		}
+		successes[t] = n
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res.Stats = stats
 	for t := 0; t < trials; t++ {
 		res.TotalBytes += 16
 		res.ByteSuccesses += successes[t]
-		res.Stats.Add(stats[t])
-		if fails[t] {
+		if errs[t] != nil {
 			res.FailedTrials++
 		}
 	}
 	res.SuccessRate = float64(res.ByteSuccesses) / float64(res.TotalBytes)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	recKey, _, err := a.RecoverKey(64)
 	if err == nil && recKey == aes.Block(key) {
 		res.KeyRecovered = true

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"pathfinder/internal/bpu"
+	"pathfinder/internal/faultinject"
 )
 
 // The sharded drivers' determinism contract: a report is a pure function of
@@ -26,7 +29,7 @@ func marshalReport(t *testing.T, rep any) string {
 func TestShardVisitsEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var visited [37]atomic.Bool
-		err := shard(context.Background(), workers, len(visited), func(i int) error {
+		err := shardGroups(context.Background(), workers, 1, len(visited), func(i, _ int) error {
 			if visited[i].Swap(true) {
 				return fmt.Errorf("index %d visited twice", i)
 			}
@@ -46,7 +49,7 @@ func TestShardVisitsEveryIndex(t *testing.T) {
 func TestShardLowestErrorWins(t *testing.T) {
 	want := errors.New("boom 5")
 	for _, workers := range []int{1, 4} {
-		err := shard(context.Background(), workers, 64, func(i int) error {
+		err := shardGroups(context.Background(), workers, 1, 64, func(i, _ int) error {
 			if i == 5 {
 				return want
 			}
@@ -64,7 +67,7 @@ func TestShardLowestErrorWins(t *testing.T) {
 func TestShardContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := shard(ctx, 4, 8, func(i int) error { return nil })
+	err := shardGroups(ctx, 4, 1, 8, func(_, _ int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -149,4 +152,55 @@ func TestGoldenParallelism1(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "golden_aesleak.json", al)
+}
+
+// TestMachinePoolReuseAcrossCalls pins that a machine pooled across driver
+// calls carries nothing from one call into the next. One sequence of calls
+// runs, then runs again in reverse order in the same process, so every call
+// of the second pass takes machines the other calls left behind; each must
+// reproduce its first-pass report. The sequence mixes fault-injected and
+// clean machines, the warm-shared AES path and a noisy one, on all three
+// Table 1 machines at the sequential and the pooled Parallelism.
+func TestMachinePoolReuseAcrossCalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	ctx := context.Background()
+	prof := faultinject.Default().WithPollution(0.001, 8)
+	type call struct {
+		name string
+		run  func() (any, error)
+	}
+	var calls []call
+	for _, arch := range bpu.Configs() {
+		for _, p := range []int{1, 0} {
+			o := Options{Arch: arch, Parallelism: p}
+			f := o
+			f.Faults = &prof
+			name := fmt.Sprintf("%s/parallelism=%d/", arch.Name, p)
+			calls = append(calls,
+				call{name + "readphr", func() (any, error) { return ReadPHRRandomEval(ctx, o, 2, 8) }},
+				call{name + "readphr-faults", func() (any, error) { return ReadPHRRandomEval(ctx, f, 2, 8) }},
+				call{name + "aes-warm-shared", func() (any, error) { return AESLeakEval(ctx, o, 3, 0) }},
+				call{name + "aes-noise", func() (any, error) { return AESLeakEval(ctx, o, 3, 0.015) }},
+			)
+		}
+	}
+	first := make([]string, len(calls))
+	for i, c := range calls {
+		rep, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		first[i] = marshalReport(t, rep)
+	}
+	for i := len(calls) - 1; i >= 0; i-- {
+		rep, err := calls[i].run()
+		if err != nil {
+			t.Fatalf("%s (reverse pass): %v", calls[i].name, err)
+		}
+		if got := marshalReport(t, rep); got != first[i] {
+			t.Errorf("%s: reverse pass diverges from the first pass:\ngot:  %s\nwant: %s", calls[i].name, got, first[i])
+		}
+	}
 }

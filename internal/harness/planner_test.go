@@ -348,9 +348,12 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	}
 
 	// After the warm runs above, a cold process (fresh warm cache, fresh
-	// store handle over the same directory) must resume from disk.
+	// store handle over the same directory) must resume from disk, with
+	// every group after the first prefetched under the key the driver then
+	// computes under (aesPhase1Key).
 	warm.reset()
 	ResetSnapStoreStats()
+	ResetPlannerStats()
 	s := openStore(t)
 	SetSnapStore(s)
 	defer SetSnapStore(nil)
@@ -363,6 +366,9 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	}
 	if hits, _ := SnapStoreStats(); hits == 0 {
 		t.Error("cold-process rerun never hit the snapshot store")
+	}
+	if groups, _, _, prefetchHits, _ := PlannerStats(); prefetchHits != groups-1 {
+		t.Errorf("cold-process rerun: %d prefetch hits over %d groups, want one for each group after the first", prefetchHits, groups)
 	}
 }
 

@@ -5,79 +5,111 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pathfinder/internal/bpu"
 	"pathfinder/internal/cpu"
 )
 
-// batchPool recycles cpu.Batch lane groups across the trial groups of one
-// sharded driver call. A worker that claims a group of BatchSize consecutive
-// trial indices checks out one batch, runs trial lo+j on lane j (recycling
-// the lane to the trial's options), and returns the batch when the group is
-// done, so the steady state allocates nothing and all K lanes' hot state
-// (PHRs, harts, machine headers) stays in the shared
-// structure-of-arrays arenas cpu.NewBatch lays out.
+// machinePools holds idle one-hart machines for the whole process, one
+// sync.Pool per (arch name, PHR size) — the pair Machine.Recycle checks.
+// A recycled machine is observationally identical to a fresh one, so the
+// trials of different driver calls, jobs and sweeps share machines freely;
+// the GC frees idle ones, so the pools need no bound.
+var machinePools sync.Map // machineKey -> *sync.Pool of *cpu.Machine
+
+type machineKey struct {
+	arch    string
+	phrSize int
+}
+
+func machinePool(arch bpu.Config) *sync.Pool {
+	k := machineKey{arch.Name, arch.PHRSize}
+	if p, ok := machinePools.Load(k); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := machinePools.LoadOrStore(k, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// machFunc hands one trial attempt its machine, in the state cpu.New(co)
+// produces — then restored to snap when snap is non-nil. Under RefModel,
+// where the warm cache is off, snap is always nil.
+type machFunc func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine
+
+// runTrials runs trial(mach, t, attempt) for every index t in [0, n),
+// sharded by shardGroups at the options' Parallelism and BatchSize. Each
+// trial runs under the zero Retry policy: the trial derives its attempt's
+// machine options from (t, attempt), asks mach for the machine at most once
+// per attempt and writes its outcome into a per-index slot the driver owns.
 //
-// Pooling is disabled when the driver runs on the refmodel oracle — a custom
-// predictor's state cannot be reset generically — in which case get returns
-// nil and lane simply builds fresh machines.
-//
-// Reuse never weakens the determinism contract: a recycled lane is
-// observationally identical to a fresh machine, and lanes share no state, so
-// which batch (and which lane) serves a trial cannot influence its outcome.
-// The golden, Parallelism-invariance and BatchSize-invariance tests pin that
-// equivalence end to end.
-type batchPool struct {
-	disabled bool
-	k        int
-	pool     sync.Pool
-}
-
-// get checks out a K-lane batch, or returns nil when pooling is disabled.
-func (p *batchPool) get(co cpu.Options) *cpu.Batch {
-	if p.disabled {
-		return nil
-	}
-	if v := p.pool.Get(); v != nil {
-		return v.(*cpu.Batch)
-	}
-	return cpu.NewBatch(co, p.k)
-}
-
-// put returns a batch checked out by get.
-func (p *batchPool) put(b *cpu.Batch) {
-	if b != nil {
-		p.pool.Put(b)
-	}
-}
-
-// lane hands out lane j of b recycled to co — or a fresh machine per call
-// when pooling is disabled (b == nil).
-func (p *batchPool) lane(b *cpu.Batch, j int, co cpu.Options) *cpu.Machine {
-	if b == nil {
-		return cpu.New(co)
-	}
-	m := b.Lane(j)
-	m.Recycle(co)
-	return m
-}
-
-// shard runs fn(i) for every index in [0, n), fanned out across at most
-// `workers` goroutines. It is shardGroups at group size 1; see there for the
-// contract.
-func shard(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return shardGroups(ctx, workers, 1, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := fn(i); err != nil {
-				return err
+// A worker runs each claimed group's trials in index order on one machine
+// from the process-wide pool, recycled before every attempt and returned
+// when the group completes (an aborted group's machine is left to the GC);
+// under RefModel every attempt gets a fresh machine instead, since an
+// oracle predictor cannot be recycled. After each attempt
+// runTrials adds the counters of the machine that attempt took, and it
+// returns their sum (merged in index order) with errs[t] holding the last
+// error of a trial that used up its attempts. A context error aborts the run
+// and is returned as err, with no partial results.
+func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFunc, t, attempt int) error) (errs []error, stats cpu.Counters, err error) {
+	errs = make([]error, n)
+	per := make([]cpu.Counters, n)
+	pool := machinePool(opts.arch())
+	err = shardGroups(ctx, opts.workers(), opts.batchSize(), n, func(lo, hi int) error {
+		var m, got *cpu.Machine // the group's pooled machine; the current attempt's machine
+		mach := func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine {
+			if opts.RefModel {
+				got = cpu.New(co)
+				return got
 			}
+			if m == nil {
+				if v := pool.Get(); v != nil {
+					m = v.(*cpu.Machine)
+				} else {
+					m = cpu.New(co)
+				}
+			}
+			if snap != nil {
+				// The fused form keeps the machine in restore-sync with a
+				// snapshot its previous trial also started from, so the
+				// rewind copies only what that trial touched.
+				m.RecycleRestore(co, snap)
+			} else {
+				m.Recycle(co)
+			}
+			got = m
+			return m
+		}
+		for t := lo; t < hi; t++ {
+			// The zero policy never waits, so the jitter seed is immaterial.
+			errs[t] = Retry{}.Do(ctx, int64(t), func(attempt int) error {
+				got = nil
+				err := trial(mach, t, attempt)
+				if got != nil {
+					per[t].Add(got.Stats())
+				}
+				return err
+			})
+			if errs[t] != nil && ctx.Err() != nil {
+				return errs[t]
+			}
+		}
+		if m != nil {
+			pool.Put(m)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, cpu.Counters{}, err
+	}
+	for t := range per {
+		stats.Add(per[t])
+	}
+	return errs, stats, nil
 }
 
 // shardGroups runs fn(lo, hi) for every group of up to `group` consecutive
 // indices covering [0, n), fanned out across at most `workers` goroutines.
-// Workers claim whole groups atomically, so a driver can run each group's
-// trials on the lanes of one cpu.Batch; fn must be independent across
+// Workers claim whole groups atomically; fn must be independent across
 // indices and write its results into per-index slots owned by the caller.
 // shardGroups imposes no ordering on group completion, so deterministic
 // reports come from merging those slots in index order afterwards — the

@@ -17,7 +17,7 @@ func (e *OptionsError) Error() string {
 
 // Validate rejects option values that used to be absorbed silently: a
 // negative Parallelism fell through to GOMAXPROCS and a negative BatchSize
-// to the auto-tuned default, masking caller bugs. The sharded drivers and
+// to the default grain, masking caller bugs. The sharded drivers and
 // the grid sweeps validate up front and refuse to start; zero stays the
 // documented "pick the default" sentinel for both fields.
 func (o Options) Validate() error {
@@ -27,7 +27,7 @@ func (o Options) Validate() error {
 	}
 	if o.BatchSize < 0 {
 		return &OptionsError{Field: "BatchSize", Value: o.BatchSize,
-			Reason: "must be >= 0 (0 selects the auto-tuned default, 1 the per-trial path)"}
+			Reason: "must be >= 0 (0 selects the default grain, 1 the per-trial path)"}
 	}
 	return nil
 }

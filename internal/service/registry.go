@@ -34,9 +34,10 @@ type Params struct {
 	Noise    float64 `json:"noise,omitempty"`    // aes: transient-collapse probability (<0 = exactly zero)
 
 	// BatchSize is the trial-group grain of the sharded drivers: each worker
-	// claims this many consecutive trials and runs them on one cpu.Batch's
-	// lanes. 0 selects the harness's auto-tuned default; any value yields a
-	// byte-identical report, so it only tunes throughput.
+	// claims this many consecutive trials at a time and runs them on one
+	// pooled machine, so it sizes no allocation and only balances load
+	// across workers. 0 selects the harness default; any value yields a
+	// byte-identical report.
 	BatchSize int `json:"batch_size,omitempty"`
 
 	// Faults arms the deterministic fault-injection layer for the job's
