@@ -205,7 +205,7 @@ func (a *AESAttack) LeakReducedRound(pt aes.Block, n int) (leak aes.Block, okMas
 	// Decode: each probe region holds the architectural ciphertext byte
 	// plus (when the transient leak fired and differs) the reduced-round
 	// byte.
-	vals, counts := probeHits(a.M)
+	vals, counts := victim.ReadProbe(a.M)
 	for pos := 0; pos < 16; pos++ {
 		if counts[pos] > len(vals[pos]) {
 			// Noise lit more probe lines than the decoder tracks; the
@@ -232,21 +232,6 @@ func (a *AESAttack) LeakReducedRound(pt aes.Block, n int) (leak aes.Block, okMas
 		}
 	}
 	return leak, okMask, nil
-}
-
-// probeHits collects up to 4 hit values per byte position.
-func probeHits(m *cpu.Machine) (vals [16][4]byte, counts [16]int) {
-	for pos := 0; pos < 16; pos++ {
-		for v := 0; v < 256; v++ {
-			if m.Data.Contains(victim.ProbeSlot(pos, byte(v))) {
-				if counts[pos] < 4 {
-					vals[pos][counts[pos]] = byte(v)
-				}
-				counts[pos]++
-			}
-		}
-	}
-	return vals, counts
 }
 
 // GroundTruthReduced returns what the early exit after n rounds computes,

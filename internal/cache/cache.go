@@ -10,6 +10,8 @@
 // Latencies are in model cycles.
 package cache
 
+import "math/bits"
+
 // Geometry and latency defaults.
 const (
 	LineSize    = 64
@@ -79,7 +81,8 @@ func (c *Cache) markAllDirty() {
 	}
 }
 
-// NewDefault returns the default 32 KiB cache.
+// NewDefault returns the default cache: 4 MiB of modelled capacity (4096
+// sets × 16 ways × 64-byte lines), held as 1 MiB of 16-byte line records.
 func NewDefault() *Cache { return New(DefaultSets, DefaultWays) }
 
 func (c *Cache) locate(addr uint64) (set []line, key uint64) {
@@ -116,7 +119,10 @@ func (c *Cache) Access(addr uint64) (latency int, hit bool) {
 }
 
 // Contains reports whether addr's line is cached, without touching LRU
-// state (an oracle for tests; attackers must use timed accesses).
+// state. An access's latency here is a function of presence alone
+// (HitLatency or MissLatency, with no timing noise), so presence is exactly
+// what a timed reload would read; the §9 probe decode reads it this way so
+// that the readout itself fills no line and moves no LRU stamp.
 func (c *Cache) Contains(addr uint64) bool {
 	set, key := c.locate(addr)
 	for i := range set {
@@ -135,6 +141,71 @@ func (c *Cache) Flush(addr uint64) {
 	for i := range set {
 		if set[i].key == key {
 			set[i] = line{}
+		}
+	}
+}
+
+// The strided operations act on n slots at base + i·stride, i in [0, n),
+// where stride is a positive multiple of LineSize and the slots do not wrap
+// the address space: the layout of a Flush+Reload probe array. Slot i is
+// line base/LineSize + i·(stride/LineSize), and slots i and i+P share a set,
+// where P = sets / gcd(stride/LineSize, sets). So the operations visit the
+// sets of slots [0, min(n, P)) once each and match every way against the
+// array, instead of locating and scanning one set per slot: the 4 KiB-strided
+// 16 × 256 AES probe array falls into 64 of the default 4096 sets.
+
+// strided checks the layout and returns the first slot's line, the stride
+// and the array's extent in lines, and how many leading slots to visit.
+func (c *Cache) strided(base, stride uint64, n int) (baseLine, lines, span uint64, visit int) {
+	if stride == 0 || stride%LineSize != 0 || n < 0 {
+		panic("cache: strided slots need a positive line-multiple stride and n >= 0")
+	}
+	lines = stride / LineSize
+	sets := uint64(len(c.sets))
+	gcd := min(uint64(1)<<bits.TrailingZeros64(lines), sets) // sets is a power of two
+	return base / LineSize, lines, uint64(n) * lines, min(n, int(sets/gcd))
+}
+
+// slotOf reports which slot of a strided array a way's key holds: the line
+// lies d lines past the first slot, and it is slot d/lines when d is a
+// multiple of the stride inside the array's extent.
+func slotOf(key, baseLine, lines, span uint64) (uint64, bool) {
+	d := key - 1 - baseLine
+	if key == 0 || key-1 < baseLine || d >= span || d%lines != 0 {
+		return 0, false
+	}
+	return d / lines, true
+}
+
+// FlushStrided evicts the n strided slots with exactly the effects of n
+// Flush calls: flushes grows by n, the dirty bit of every set a slot maps to
+// is raised, and no LRU stamp or clock value moves.
+func (c *Cache) FlushStrided(base, stride uint64, n int) {
+	baseLine, lines, span, visit := c.strided(base, stride, n)
+	c.flushes += uint64(n)
+	for i := 0; i < visit; i++ {
+		si := (baseLine + uint64(i)*lines) & c.setMask
+		c.markDirty(si)
+		set := c.sets[si]
+		for w := range set {
+			if _, ok := slotOf(set[w].key, baseLine, lines, span); ok {
+				set[w] = line{}
+			}
+		}
+	}
+}
+
+// ResidentStrided overwrites hits[:(n+63)/64] with one bit per strided
+// slot, bit i set when slot i is cached: what n Contains calls report, and
+// like Contains it writes nothing to the cache.
+func (c *Cache) ResidentStrided(base, stride uint64, n int, hits []uint64) {
+	baseLine, lines, span, visit := c.strided(base, stride, n)
+	clear(hits[:(n+63)/64])
+	for i := 0; i < visit; i++ {
+		for _, l := range c.sets[(baseLine+uint64(i)*lines)&c.setMask] {
+			if s, ok := slotOf(l.key, baseLine, lines, span); ok {
+				hits[s>>6] |= 1 << (s & 63)
+			}
 		}
 	}
 }
@@ -201,9 +272,7 @@ func (p *ProbeArray) SlotAddr(value byte) uint64 {
 
 // Flush evicts all 256 slots (the Flush phase).
 func (p *ProbeArray) Flush() {
-	for v := 0; v < 256; v++ {
-		p.cache.Flush(p.SlotAddr(byte(v)))
-	}
+	p.cache.FlushStrided(p.Base, ProbeStride, 256)
 }
 
 // Reload times all 256 slots and returns the values whose slots hit (the

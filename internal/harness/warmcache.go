@@ -18,11 +18,12 @@ import (
 //     phase-1 control-flow recovery. Concurrent callers with the same key
 //     wait for the one computation instead of duplicating ~60% of the
 //     evaluation's simulated work.
-//   - Opportunistic sharing (get/putIfAbsent): per-trial warm-up state. A
-//     trial that finds the donor snapshot restores it; one that does not
-//     runs the ordinary warm-up and offers its own snapshot. Early trials
-//     racing to populate do redundant warm-ups but never block, so the
-//     sharded drivers keep their full parallelism.
+//   - Opportunistic sharing (getOrFetch/putIfAbsent): per-trial warm-up
+//     state. A trial that finds the donor snapshot restores it; one that
+//     does not runs the ordinary warm-up and offers its own snapshot. Early
+//     trials racing to populate do redundant warm-ups but never block on
+//     one another's training, so the sharded drivers keep their full
+//     parallelism; concurrent misses share only the store read and fetch.
 //
 // Correctness rests on the cpu.Snapshot contract: snapshots are immutable,
 // restore is copy-on-use, and a restored machine is observationally
@@ -59,7 +60,8 @@ type warmEntry struct {
 	rec  *core.ExtendedResult // phase-1 recovery result, when applicable
 }
 
-// warmCall is an in-flight singleflight computation.
+// warmCall is an in-flight singleflight computation. A getOrFetch flight
+// leaves e nil on a miss.
 type warmCall struct {
 	done chan struct{}
 	e    *warmEntry
@@ -72,9 +74,12 @@ type warmCache struct {
 	capacity int
 	order    *list.List // most-recent first; values are warmKey
 	items    map[warmKey]*warmItem
-	inflight map[warmKey]*warmCall
+	inflight map[warmKey]*warmCall // do's computations
+	fetching map[warmKey]*warmCall // getOrFetch's store reads and fetches
 
-	hits, misses uint64 // get/do lookups; for tests and diagnostics
+	// Lookups by get, do and getOrFetch that found an entry or not; a
+	// flight's waiters count as misses. For tests and diagnostics.
+	hits, misses uint64
 }
 
 type warmItem struct {
@@ -88,6 +93,7 @@ func newWarmCache(capacity int) *warmCache {
 		order:    list.New(),
 		items:    make(map[warmKey]*warmItem),
 		inflight: make(map[warmKey]*warmCall),
+		fetching: make(map[warmKey]*warmCall),
 	}
 }
 
@@ -135,6 +141,39 @@ func (c *warmCache) storeLocked(key warmKey, e *warmEntry) {
 	}
 }
 
+// join returns key's entry on a hit, marking it most-recently used.
+// Otherwise it counts a miss and returns the flight in flights that
+// resolves key, registering a new one when none is in flight; leader
+// reports that the caller registered it and must land it.
+func (c *warmCache) join(key warmKey, flights map[warmKey]*warmCall) (e *warmEntry, call *warmCall, leader bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if it, ok := c.items[key]; ok {
+		c.hits++
+		c.order.MoveToFront(it.ele)
+		return it.e, nil, false
+	}
+	c.misses++
+	if call, ok := flights[key]; ok {
+		return nil, call, false
+	}
+	call = &warmCall{done: make(chan struct{})}
+	flights[key] = call
+	return nil, call, true
+}
+
+// land ends a flight: it installs a resolved entry and removes the flight
+// under one lock, so no caller can miss both, then wakes the waiters.
+func (c *warmCache) land(key warmKey, call *warmCall, flights map[warmKey]*warmCall) {
+	c.mu.Lock()
+	delete(flights, key)
+	if call.e != nil && call.err == nil {
+		c.storeLocked(key, call.e)
+	}
+	c.mu.Unlock()
+	close(call.done)
+}
+
 // do returns the entry for key, computing it at most once across concurrent
 // callers. compute runs without the cache lock held; concurrent callers
 // with the same key block until it finishes. Errors are not cached — the
@@ -145,26 +184,17 @@ func (c *warmCache) storeLocked(key warmKey, e *warmEntry) {
 // singleflight also dedups store reads — and a successful compute spills
 // there, so phase-level checkpoints survive process restarts.
 func (c *warmCache) do(key warmKey, compute func() (*warmEntry, error)) (*warmEntry, error) {
-	c.mu.Lock()
-	if it, ok := c.items[key]; ok {
-		c.hits++
-		c.order.MoveToFront(it.ele)
-		c.mu.Unlock()
-		return it.e, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	e, call, leader := c.join(key, c.inflight)
+	switch {
+	case e != nil:
+		return e, nil
+	case !leader:
 		<-call.done
 		if call.err != nil {
 			return nil, call.err
 		}
 		return call.e, nil
 	}
-	c.misses++
-	call := &warmCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
 	if e, ok := storeLoad(key); ok {
 		call.e = e
 	} else {
@@ -173,14 +203,7 @@ func (c *warmCache) do(key warmKey, compute func() (*warmEntry, error)) (*warmEn
 			storeSpill(key, call.e)
 		}
 	}
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if call.err == nil {
-		c.storeLocked(key, call.e)
-	}
-	c.mu.Unlock()
-	close(call.done)
+	c.land(key, call, c.inflight)
 	return call.e, call.err
 }
 

@@ -81,8 +81,8 @@ func exportKey(k warmKey) WarmStateKey {
 // training matches the key exactly (the codec's hash check plus the
 // coordinator's index make violations structural, not probabilistic), or
 // false to let the caller train locally. Fetchers run outside the cache
-// lock and may block on the network; concurrent misses for the same key may
-// fan out into concurrent fetches.
+// lock and may block on the network; concurrent misses for the same key
+// share one fetch.
 type WarmFetcher func(key WarmStateKey) (*cpu.Snapshot, bool)
 
 // warmFetch is the installed hook plus its hit/miss accounting.
@@ -95,9 +95,8 @@ var (
 )
 
 // SetWarmFetch installs (or, with nil, removes) the process-global warm
-// fetch hook. The hook only fires on opportunistic get misses — the
-// blocking singleflight path never fetches, because its entries carry
-// process-local recovery artifacts.
+// fetch hook. The hook only fires on getOrFetch misses — do never
+// fetches, because its entries carry process-local recovery artifacts.
 func SetWarmFetch(f WarmFetcher) {
 	warmFetchMu.Lock()
 	warmFetchFn = f
@@ -126,31 +125,46 @@ func WarmFetchCorrupt() uint64 {
 // getOrFetch is get plus the spill and fetch tiers: on a local miss it
 // consults the persistent snapshot store, then the cluster fetcher. A hit
 // from either tier is installed in the in-memory cache (so later trials hit
-// locally) and — via putIfAbsent's spill — a fetched snapshot also lands in
-// the store, so peer-trained warm state survives this worker's restart.
+// locally) and — via the spill — a fetched snapshot also lands in the
+// store, so peer-trained warm state survives this worker's restart.
+// Concurrent local misses of one key share one flight: one store Load and
+// at most one fetch, whose outcome every caller gets. On a miss each caller
+// still warms its own machine; the flight is kept apart from do's, whose
+// waiters expect an entry.
 func (c *warmCache) getOrFetch(key warmKey) (*warmEntry, bool) {
-	if e, ok := c.get(key); ok {
+	e, call, leader := c.join(key, c.fetching)
+	switch {
+	case e != nil:
 		return e, true
+	case !leader:
+		<-call.done
+		return call.e, call.e != nil
 	}
+	call.e = loadOrFetch(key)
+	c.land(key, call, c.fetching)
+	storeSpill(key, call.e)
+	return call.e, call.e != nil
+}
+
+// loadOrFetch resolves a local miss from the snapshot store, then the
+// installed fetcher; nil means neither has the key.
+func loadOrFetch(key warmKey) *warmEntry {
 	if e, ok := storeLoad(key); ok {
-		c.putIfAbsent(key, e)
-		return e, true
+		return e
 	}
 	warmFetchMu.RLock()
 	f := warmFetchFn
 	warmFetchMu.RUnlock()
 	if f == nil {
-		return nil, false
+		return nil
 	}
 	snap, ok := f(exportKey(key))
 	if !ok || snap == nil {
 		warmFetchMiss.Add(1)
-		return nil, false
+		return nil
 	}
 	warmFetchHits.Add(1)
-	e := &warmEntry{snap: snap}
-	c.putIfAbsent(key, e)
-	return e, true
+	return &warmEntry{snap: snap}
 }
 
 // WarmSnapshot is one exchangeable warm-cache entry.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,6 +87,51 @@ func TestWarmFetchHookDeclines(t *testing.T) {
 	}
 	if hits, misses := WarmFetchStats(); hits != 0 || misses != 1 {
 		t.Fatalf("fetch stats = %d/%d, want 0/1", hits, misses)
+	}
+}
+
+// gatedSnapStore is a counting store whose Load waits until open reports
+// true, holding the first store read in flight while other callers arrive.
+type gatedSnapStore struct {
+	*fakeSnapStore
+	open func() bool
+}
+
+func (g gatedSnapStore) Load(key string) (*cpu.Snapshot, *core.ExtendedResult, bool) {
+	for !g.open() {
+		runtime.Gosched()
+	}
+	return g.fakeSnapStore.Load(key)
+}
+
+// TestGetOrFetchSingleflight: concurrent local misses of one stored key
+// share a single store Load, and every caller gets the entry it loaded.
+func TestGetOrFetchSingleflight(t *testing.T) {
+	f := installFakeStore(t)
+	key := warmKey{kind: "flight", arch: "Alder Lake", phrSize: 194, prog: 9}
+	f.m[exportKey(key).String()] = &warmEntry{snap: trainedSnapshot(t, 4)}
+	const callers = 8
+	SetSnapStore(gatedSnapStore{f, func() bool {
+		_, misses := WarmCacheStats()
+		return misses >= callers
+	}})
+	got := make([]*warmEntry, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = warm.getOrFetch(key)
+		}()
+	}
+	wg.Wait()
+	if f.loads != 1 {
+		t.Fatalf("%d callers made %d store loads, want 1", callers, f.loads)
+	}
+	for i, e := range got {
+		if e == nil || e != got[0] {
+			t.Fatalf("caller %d got entry %p, caller 0 got %p", i, e, got[0])
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package victim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pathfinder/internal/aes"
 	"pathfinder/internal/core"
@@ -27,7 +28,9 @@ const (
 	AESCiphertext  = 0x0020_3000 // 16-byte output block
 	// AESProbeBase is the bottom of 16 per-byte-position probe regions,
 	// each 256 pages: the encoding gadget touches
-	// AESProbeBase + pos*ProbeRegion + value*4096 for every output byte.
+	// AESProbeBase + pos*AESProbeRange + value*AESProbeSlot for every output
+	// byte. The 4,096 slots are one array at a 4 KiB (64-line) stride, so
+	// in the default 4,096-set cache they map to only 64 sets.
 	AESProbeBase  = 0x1000_0000
 	AESProbeSlot  = 4096
 	AESProbeRange = 256 * AESProbeSlot
@@ -140,29 +143,32 @@ func ProbeSlot(pos int, v byte) uint64 {
 	return AESProbeBase + uint64(pos)*AESProbeRange + uint64(v)*AESProbeSlot
 }
 
+// aesProbeSlotCount is the number of probe slots: 16 positions × 256 values,
+// slot pos*256 + v at ProbeSlot(pos, v).
+const aesProbeSlotCount = 16 * 256
+
 // FlushProbe evicts all 16×256 probe slots.
 func FlushProbe(m *cpu.Machine) {
-	for pos := 0; pos < 16; pos++ {
-		for v := 0; v < 256; v++ {
-			m.Data.Flush(ProbeSlot(pos, byte(v)))
-		}
-	}
+	m.Data.FlushStrided(AESProbeBase, AESProbeSlot, aesProbeSlotCount)
 }
 
-// ReadProbe reloads the probe slots and returns the leaked value per byte
-// position; ok[i] reports whether exactly one slot of position i hit.
-func ReadProbe(m *cpu.Machine) (vals [16]byte, ok [16]bool) {
-	for pos := 0; pos < 16; pos++ {
-		hits := 0
-		for v := 0; v < 256; v++ {
-			if m.Data.Contains(ProbeSlot(pos, byte(v))) {
-				hits++
-				vals[pos] = byte(v)
+// ReadProbe reads which probe slots a reload would hit: per byte position,
+// the first four hit values in ascending order and the number of hits.
+func ReadProbe(m *cpu.Machine) (vals [16][4]byte, counts [16]int) {
+	var hits [aesProbeSlotCount / 64]uint64
+	m.Data.ResidentStrided(AESProbeBase, AESProbeSlot, aesProbeSlotCount, hits[:])
+	for wi, w := range hits {
+		for w != 0 {
+			slot := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			pos := slot / 256
+			if counts[pos] < 4 {
+				vals[pos][counts[pos]] = byte(slot)
 			}
+			counts[pos]++
 		}
-		ok[pos] = hits == 1
 	}
-	return vals, ok
+	return vals, counts
 }
 
 // VerifyAESProgram checks that the emitted oracle computes correct AES for

@@ -52,14 +52,13 @@ func TestProbeSlotLayout(t *testing.T) {
 func TestFlushReadProbe(t *testing.T) {
 	m := cpu.New(cpu.Options{})
 	m.Data.Access(ProbeSlot(3, 0x7c))
-	vals, ok := ReadProbe(m)
-	if !ok[3] || vals[3] != 0x7c {
-		t.Fatalf("probe readout: %v %v", vals[3], ok[3])
+	vals, counts := ReadProbe(m)
+	if counts[3] != 1 || vals[3][0] != 0x7c {
+		t.Fatalf("probe readout: %v %d", vals[3], counts[3])
 	}
 	FlushProbe(m)
-	_, ok = ReadProbe(m)
-	if ok[3] {
-		t.Fatal("flush left a hit")
+	if _, counts = ReadProbe(m); counts != [16]int{} {
+		t.Fatalf("flush left hits: %v", counts)
 	}
 }
 
