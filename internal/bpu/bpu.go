@@ -302,8 +302,11 @@ type BTB struct {
 	dirty uint64
 }
 
+// btbEntries is the BTB's slot count, a power of two.
+const btbEntries = 4096
+
 // NewBTB returns an empty 4096-entry BTB.
-func NewBTB() *BTB { return &BTB{entries: make([]btbEntry, 4096)} }
+func NewBTB() *BTB { return &BTB{entries: make([]btbEntry, btbEntries)} }
 
 // slot masks rather than divides; the entry count is a power of two.
 func (b *BTB) slot(pc uint64) *btbEntry { return &b.entries[pc&uint64(len(b.entries)-1)] }
@@ -317,6 +320,60 @@ func (b *BTB) Insert(pc, target uint64) {
 		bank := (pc & uint64(len(b.entries)-1)) * 64 / uint64(len(b.entries))
 		b.dirty |= 1 << bank
 		*e = btbEntry{key: pc + 1, target: target}
+	}
+}
+
+// BTBRunSlots is how many distinct slots a BTBRun holds. The §4 PHR gadgets
+// place every jump at a 64 KiB boundary plus 0–3 bytes, so a gadget chain
+// writes slots 0–3 of the direct-mapped table however long it is.
+const BTBRunSlots = 4
+
+// BTBRun is the net effect of a sequence of Insert calls on the few slots
+// they write: per slot, the last (pc, target) written and whether the
+// writes differed. InsertRun applies it with exactly the entries and dirty
+// bits of the Inserts in order. A slot whose writes all agree behaves as
+// one Insert of that write. A slot that saw two different writes was
+// changed by the second of them, so its bank is dirty whatever it ends
+// holding.
+type BTBRun struct {
+	last  [BTBRunSlots]btbEntry
+	mixed uint8 // bit i: slot last[i] saw differing writes
+	n     uint8
+}
+
+// Add records Insert(pc, target). It records nothing and reports false when
+// pc maps to a slot the run does not hold and the run already holds
+// BTBRunSlots slots.
+func (r *BTBRun) Add(pc, target uint64) bool {
+	e := btbEntry{key: pc + 1, target: target}
+	for i := range r.n {
+		if (r.last[i].key-1)&(btbEntries-1) == pc&(btbEntries-1) {
+			if r.last[i] != e {
+				r.mixed |= 1 << i
+				r.last[i] = e
+			}
+			return true
+		}
+	}
+	if r.n == BTBRunSlots {
+		return false
+	}
+	r.last[r.n] = e
+	r.n++
+	return true
+}
+
+// InsertRun applies run: per slot it holds, the Insert of its last write,
+// which marks the bank dirty also when the slot already held that write
+// but the run's writes differed.
+func (b *BTB) InsertRun(run *BTBRun) {
+	for i := range run.n {
+		e, pc := run.last[i], run.last[i].key-1
+		if s := b.slot(pc); *s != e || run.mixed&(1<<i) != 0 {
+			bank := (pc & uint64(len(b.entries)-1)) * 64 / uint64(len(b.entries))
+			b.dirty |= 1 << bank
+			*s = e
+		}
 	}
 }
 

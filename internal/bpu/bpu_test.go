@@ -222,3 +222,53 @@ func BenchmarkCBPPredictUpdate(b *testing.B) {
 		h.Update(uint16(i))
 	}
 }
+
+// TestInsertRunMatchesInserts pins BTB.InsertRun against the Inserts it
+// summarizes: from random prior contents, a random write sequence over a
+// few slots (repeated and differing writes, writes that match what the slot
+// already holds) must leave the same entries and the same dirty word
+// whether applied one Insert at a time or as one BTBRun. A write to a fifth
+// slot is refused and recorded nowhere.
+func TestInsertRunMatchesInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 3000; trial++ {
+		// Slots 0–7 in bank 0 plus one slot of a far bank, so the dirty
+		// word tells the banks apart; two candidate pcs per slot and two
+		// targets per pc make identical and differing writes both common.
+		slots := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 64*37 + 5}
+		write := func() (uint64, uint64) {
+			s := slots[rng.Intn(1+rng.Intn(len(slots)))]
+			pc := uint64(rng.Intn(2))<<16 | s
+			return pc, 0x40 + uint64(rng.Intn(2))
+		}
+		seq := NewBTB()
+		for i := rng.Intn(6); i > 0; i-- {
+			seq.Insert(write())
+		}
+		seq.dirty = 0
+		fused := NewBTB()
+		copy(fused.entries, seq.entries)
+
+		var run BTBRun
+		for i := 1 + rng.Intn(12); i > 0; i-- {
+			pc, tgt := write()
+			held := int(run.n)
+			if !run.Add(pc, tgt) {
+				if held != BTBRunSlots {
+					t.Fatalf("trial %d: Add refused a write with %d slots held", trial, held)
+				}
+				break
+			}
+			seq.Insert(pc, tgt)
+		}
+		fused.InsertRun(&run)
+		for i := range seq.entries {
+			if seq.entries[i] != fused.entries[i] {
+				t.Fatalf("trial %d: slot %d = %+v, want %+v", trial, i, fused.entries[i], seq.entries[i])
+			}
+		}
+		if seq.dirty != fused.dirty {
+			t.Fatalf("trial %d: dirty word %#x, want %#x", trial, fused.dirty, seq.dirty)
+		}
+	}
+}

@@ -160,3 +160,25 @@ func BenchmarkRecycle(b *testing.B) {
 		m.Recycle(Options{Seed: int64(i)})
 	}
 }
+
+// BenchmarkRunJumpChains measures the Read_PHR train/test loop's shape: per
+// loop iteration a coin branch picks a 194-slot Write_PHR-shaped chain or a
+// 194-slot Clear_PHR chain, then the test branch. One op is a 64-iteration
+// run, so 12,416 jumps; ns/jump is the op's time per jump.
+func BenchmarkRunJumpChains(b *testing.B) {
+	const iters = 64
+	p := readPHRLoop(b, iters)
+	m := New(Options{})
+	if err := m.Run(p, "main"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Run(p, "main"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*iters*194), "ns/jump")
+}

@@ -217,14 +217,15 @@ type Machine struct {
 // progState is decoded per-(machine, program) interpreter state: the
 // per-instruction branch-stat references that replace the per-execution
 // map probe, and the dense predecoded stream the fast engine dispatches
-// over. A stat reference is validated against the instruction's current
-// address, so program templates that re-address instructions in place
-// (internal/core's patched attack programs) self-heal on first use; the
-// dense stream is validated against Program.Version, which Reindex bumps
-// after every in-place mutation.
+// over with its jump-chain summaries. A stat reference is validated against
+// the instruction's current address, so program templates that re-address
+// instructions in place (internal/core's patched attack programs) self-heal
+// on first use; the dense stream and the summaries are validated against
+// Program.Version, which Reindex bumps after every in-place mutation.
 type progState struct {
 	stats        []statRef
 	dense        []denseInstr
+	chains       []jumpChain // only for chains executed since the last decode
 	denseVersion uint64
 	denseOK      bool
 }
@@ -329,11 +330,13 @@ func initMachine(m *Machine, opts Options, harts []Hart, phrs []phr.Reg) {
 // Recycle resets the machine to the state New(opts) would produce while
 // reusing its large allocations: cache arrays, predictor tables, memory
 // pages, decoded-program state and any attack templates attached to Aux.
-// The sharded harness drivers keep idle machines in a process-wide pool and
-// recycle one before every trial attempt, so after the first few jobs they
-// build no machines, without weakening the determinism contract — a
-// recycled machine must be observationally identical to a fresh one (the
-// golden, Parallelism-invariance and machine-reuse tests pin exactly that).
+// The sharded harness drivers keep idle machines in a process-wide
+// sync.Pool and recycle one before every trial attempt. The pool drops idle
+// machines after two GC cycles, so a process that collects between jobs
+// still builds a few machines per job. Recycling must not weaken the
+// determinism contract: a recycled machine must be observationally
+// identical to a fresh one (the golden, Parallelism-invariance and
+// machine-reuse tests pin exactly that).
 //
 // opts must describe the same microarchitecture and hart count the machine
 // was built with, and neither the machine nor opts may use a custom

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"pathfinder/internal/aes"
+	"pathfinder/internal/bpu"
 	"pathfinder/internal/isa"
+	"pathfinder/internal/phr"
 )
 
 // This file is the dense execution engine: a flattened-dispatch interpreter
@@ -27,6 +29,8 @@ import (
 //     fold table, so the engines differ only in dispatch.
 //   - Instruction and cycle counts accumulate in locals and are flushed to
 //     m.stats only around the cold paths that observe them.
+//   - A run of direct JMPs executes as one step from a summary built the
+//     first time a run enters the chain at that instruction (jumpChain).
 type denseInstr struct {
 	addr      uint64
 	imm       int64
@@ -36,6 +40,44 @@ type denseInstr struct {
 	cond      isa.Cond
 	rd, rs    uint8
 	rt, vd    uint8
+	chain     int32 // JMP only: 1-based index into progState.chains; 0 = not built yet, -1 = no run to fuse
+}
+
+// jumpChain summarizes the run of direct JMPs entered at one instruction:
+// the chain follows jump targets while they are JMPs with a resolved
+// target, for at most maxJumpChain jumps and BTBRunSlots BTB slots. One
+// step that applies it leaves the PHR, the BTB (entries and dirty bits) and
+// the counters exactly as its jumps executed one by one would. A chain never
+// includes a jump to a hole, which then runs, and errors, on its own.
+type jumpChain struct {
+	phr  phr.Run
+	btb  bpu.BTBRun
+	land int32 // program index the last jump lands on
+}
+
+// maxJumpChain caps a chain's length so that building one terminates on a
+// jump cycle (j: jmp j). The §4 gadgets are at most 194 jumps long.
+const maxJumpChain = 1024
+
+// buildChain summarizes the chain entered at code[idx], a JMP, and returns
+// its denseInstr.chain value: a 1-based index into ps.chains, or -1 when the
+// chain has fewer than two jumps and the plain JMP path is as fast.
+func (ps *progState) buildChain(code []denseInstr, idx int) int32 {
+	var c jumpChain
+	for c.phr.Len() < maxJumpChain {
+		in := &code[idx]
+		if in.op != isa.JMP || in.targetIdx < 0 || !c.btb.Add(in.addr, in.target) {
+			break
+		}
+		c.phr.Add(phr.Footprint(in.addr, in.target))
+		idx = int(in.targetIdx)
+	}
+	if c.phr.Len() < 2 {
+		return -1
+	}
+	c.land = int32(idx)
+	ps.chains = append(ps.chains, c)
+	return int32(len(ps.chains))
 }
 
 // denseEligible reports whether runs on this machine may use the dense
@@ -48,11 +90,14 @@ func (m *Machine) denseEligible() bool {
 }
 
 // denseFor returns the predecoded stream for prog, rebuilding it when the
-// program's version moved (Reindex bumps it after in-place mutation).
+// program's version moved (Reindex bumps it after in-place mutation). A
+// rebuild drops every jump-chain summary, which the new addresses may
+// change.
 func (m *Machine) denseFor(ps *progState, prog *isa.Program) []denseInstr {
 	if ps.denseOK && ps.denseVersion == prog.Version() && len(ps.dense) == len(prog.Instrs) {
 		return ps.dense
 	}
+	ps.chains = ps.chains[:0]
 	if cap(ps.dense) < len(prog.Instrs) {
 		ps.dense = make([]denseInstr, len(prog.Instrs))
 	}
@@ -225,6 +270,25 @@ func (m *Machine) execDense(h *Hart, prog *isa.Program, idx int) error {
 			}
 
 		case isa.JMP:
+			if in.chain == 0 {
+				in.chain = ps.buildChain(code, idx)
+			}
+			if in.chain > 0 {
+				// Fuse only when every jump of the chain fits under the step
+				// limit; otherwise they run singly, so that the limit error
+				// names the same address with the same counters.
+				c := &ps.chains[in.chain-1]
+				if n := uint64(c.phr.Len()); steps-1+n <= limit {
+					h.PHR.UpdateRun(&c.phr)
+					m.BPU.BTB.InsertRun(&c.btb)
+					m.stats.TakenBranches += n
+					steps += n - 1
+					instrs += n - 1
+					cycles += n - 1
+					idx = int(c.land)
+					continue
+				}
+			}
 			h.PHR.UpdateBranch(in.addr, in.target)
 			m.stats.TakenBranches++
 			m.BPU.BTB.Insert(in.addr, in.target)

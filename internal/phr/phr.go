@@ -251,6 +251,41 @@ func (r *Reg) UpdateBranch(branchAddr, targetAddr uint64) {
 	r.Update(Footprint(branchAddr, targetAddr))
 }
 
+// Run is the net effect of consecutive Update calls. Update is linear, so n
+// of them turn a register into (PHR << 2n) ^ pattern, where the pattern is
+// what an all-zero register holds after the same n Updates. A Run keeps the
+// pattern's low 448 bits unmasked, so one Run applies to a register of any
+// size; UpdateRun masks it to the register. The zero value is the empty run.
+type Run struct {
+	pat [maxWords]uint64
+	n   int
+}
+
+// Add appends Update(footprint) to the run.
+func (u *Run) Add(footprint uint16) {
+	w := &u.pat
+	for i := maxWords - 1; i > 0; i-- {
+		w[i] = w[i]<<2 | w[i-1]>>62
+	}
+	w[0] = w[0]<<2 ^ uint64(footprint)
+	u.n++
+}
+
+// Len returns the number of updates in the run.
+func (u *Run) Len() int { return u.n }
+
+// UpdateRun applies the run's n updates in one step: the register becomes
+// (PHR << 2n) ^ pattern, masked to its size, exactly as n Update calls
+// leave it. Gen moves once, not n times.
+func (r *Reg) UpdateRun(u *Run) {
+	r.Shift(u.n)
+	nw := r.words()
+	for i := 0; i < nw; i++ {
+		r.w[i] ^= u.pat[i]
+	}
+	r.mask()
+}
+
 // ReverseUpdate undoes one Update with the given footprint. The doublet that
 // was shifted out of the top during the forward update cannot be recovered
 // from the register itself; the caller supplies it as top (use 0 when

@@ -279,3 +279,37 @@ func BenchmarkFold(b *testing.B) {
 		_ = r.Fold(194, 9)
 	}
 }
+
+// TestUpdateRunMatchesUpdates pins the fused update against its definition:
+// for n from 0 to twice the register size, on both modeled register sizes,
+// applying a Run of n footprints must leave the register exactly as n
+// Update calls do, with every bit at and above 2*size clear.
+func TestUpdateRunMatchesUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, size := range []int{194, 93} {
+		for n := 0; n <= 2*size; n++ {
+			seq := New(size)
+			for i := 0; i < size; i++ {
+				seq.SetDoublet(i, Doublet(rng.Intn(4)))
+			}
+			fused := seq.Clone()
+			var run Run
+			for i := 0; i < n; i++ {
+				fp := uint16(rng.Uint32())
+				seq.Update(fp)
+				run.Add(fp)
+			}
+			if run.Len() != n {
+				t.Fatalf("size %d: Run.Len() = %d after %d Adds", size, run.Len(), n)
+			}
+			gen := fused.Gen()
+			fused.UpdateRun(&run)
+			if !fused.Equal(seq) {
+				t.Fatalf("size %d, n %d: fused %v, sequential %v", size, n, fused, seq)
+			}
+			if fused.Gen() == gen {
+				t.Fatalf("size %d, n %d: UpdateRun left Gen unchanged", size, n)
+			}
+		}
+	}
+}
