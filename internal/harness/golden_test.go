@@ -91,6 +91,17 @@ func TestGoldenExtendedRead(t *testing.T) {
 	goldenCompare(t, "golden_extread.json", rep)
 }
 
+func TestGoldenFig6(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long test")
+	}
+	rep, err := Fig6PathfinderAES(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenCompare(t, "golden_fig6.json", rep)
+}
+
 func TestGoldenAESLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
