@@ -89,9 +89,6 @@ func InvSubBytes(s Block) Block {
 	return s
 }
 
-// SBox exposes the forward S-box for the cryptanalysis routines.
-func SBox(b byte) byte { return sbox[b] }
-
 // ShiftRows rotates row r of the state left by r.
 func ShiftRows(s Block) Block {
 	var o Block

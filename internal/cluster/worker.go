@@ -467,7 +467,6 @@ func (w *Worker) fetchFromHolder(ctx context.Context, loc SnapshotLocation) (*cp
 // coordinator (best-effort — the local rejection alone already keeps the
 // corruption out of the warm cache).
 func (w *Worker) noteCorrupt(loc SnapshotLocation, err error) {
-	harness.RecordWarmFetchCorrupt()
 	w.m.fetchCorrupt.Add(1)
 	w.log.Warn("peer snapshot rejected as corrupt", "peer", loc.Worker, "hash", loc.Hash, "err", err)
 	var ack struct {

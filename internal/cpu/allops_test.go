@@ -91,7 +91,7 @@ func allOpsProgram(t testing.TB) *isa.Program {
 func TestAllOpcodesDenseMatchesScalar(t *testing.T) {
 	p := allOpsProgram(t)
 	run := func(scalar bool) *Machine {
-		m := New(Options{Seed: 42, Scalar: scalar})
+		m := New(Options{Seed: 42, scalar: scalar})
 		m.IBRS = true // exercise the IBRS predictor flush inside enterStub
 		m.Mem.Write64(0x9000, p.MustSymbol("after_jr"))
 		m.RegisterKernelStub(1, "kstub")

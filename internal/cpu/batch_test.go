@@ -14,7 +14,7 @@ import (
 // This file is the differential harness pinning the batch/dense engine to the
 // scalar interpreter and the refmodel oracle: a byte-directed program
 // generator, a three-way per-trial comparison (dense batch lanes vs
-// Options.Scalar vs refmodel-backed machines), and a stimulus recorder that
+// Options.scalar vs refmodel-backed machines), and a stimulus recorder that
 // replays every branch the program executed through trace.Diff for
 // first-divergence state dumps.
 
@@ -198,7 +198,7 @@ func diffBatchVsScalar(t *testing.T, data []byte, archSel, kSel uint8) {
 		t.Fatalf("generator produced an unassemblable program: %v", err)
 	}
 	laneOpts := func(scalar bool, lane int) Options {
-		return Options{Arch: cfg, Seed: 1000 + int64(lane), StepLimit: fuzzStepLimit, Scalar: scalar}
+		return Options{Arch: cfg, Seed: 1000 + int64(lane), StepLimit: fuzzStepLimit, scalar: scalar}
 	}
 
 	// Dense side: all K trials on one batch's arena lanes.

@@ -103,7 +103,7 @@ func BenchmarkSnapshot(b *testing.B) {
 // BenchmarkRestore measures rewinding a machine to a warm snapshot via the
 // flat full-copy path — the cost every trial paid before dirty tracking,
 // and still the cost when restore-sync cannot be established (first restore
-// on a lane, cross-snapshot hops). ForgetRestoreSync pins the full path;
+// on a lane, cross-snapshot hops). forgetRestoreSync pins the full path;
 // BenchmarkDirtyRestore measures the tracked one.
 func BenchmarkRestore(b *testing.B) {
 	p := benchProgram(b, 256)
@@ -115,7 +115,7 @@ func BenchmarkRestore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ForgetRestoreSync()
+		m.forgetRestoreSync()
 		m.RestoreFrom(snap)
 	}
 }

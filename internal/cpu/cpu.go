@@ -165,11 +165,11 @@ type Options struct {
 	// profile leaves every hot path untouched.
 	Faults *faultinject.Profile
 
-	// Scalar forces the reference scalar interpreter even when a run is
-	// eligible for the dense engine (see dense.go). The differential tests
-	// use it as the oracle side of batch-vs-scalar comparisons; production
-	// callers leave it false.
-	Scalar bool
+	// scalar forces the reference scalar interpreter even when a run is
+	// eligible for the dense engine (see dense.go). Only this package's
+	// differential tests set it, as the oracle side of dense-vs-scalar
+	// comparisons.
+	scalar bool
 }
 
 // Machine is a physical core: shared branch prediction unit, shared cache
@@ -343,16 +343,7 @@ func initMachine(m *Machine, opts Options, harts []Hart, phrs []phr.Reg) {
 // NewPredictor (an oracle's state cannot be reset generically); Recycle
 // panics otherwise.
 func (m *Machine) Recycle(opts Options) {
-	opts = normalizeOptions(opts)
-	if opts.Arch.Name != m.opts.Arch.Name || opts.Arch.PHRSize != m.opts.Arch.PHRSize {
-		panic("cpu: recycle across microarchitectures")
-	}
-	if opts.Harts != len(m.harts) {
-		panic("cpu: recycle with a different hart count")
-	}
-	if opts.NewPredictor != nil || m.opts.NewPredictor != nil {
-		panic("cpu: recycle with a custom predictor")
-	}
+	opts = m.recycleOptions(opts)
 	m.opts = opts
 	m.syncOK = false
 	m.BPU.Reset()
@@ -386,6 +377,23 @@ func (m *Machine) Recycle(opts Options) {
 	}
 }
 
+// recycleOptions normalizes opts and panics unless the machine can be
+// recycled to them: same microarchitecture and hart count, and no custom
+// predictor on either side.
+func (m *Machine) recycleOptions(opts Options) Options {
+	opts = normalizeOptions(opts)
+	if opts.Arch.Name != m.opts.Arch.Name || opts.Arch.PHRSize != m.opts.Arch.PHRSize {
+		panic("cpu: recycle across microarchitectures")
+	}
+	if opts.Harts != len(m.harts) {
+		panic("cpu: recycle with a different hart count")
+	}
+	if opts.NewPredictor != nil || m.opts.NewPredictor != nil {
+		panic("cpu: recycle with a custom predictor")
+	}
+	return opts
+}
+
 // RecycleRestore is Recycle(opts) followed by RestoreFrom(s), fused so the
 // intermediate power-on reset is skipped: every structure Recycle would
 // reset and RestoreFrom would then overwrite (predictors, cache, hart
@@ -400,16 +408,7 @@ func (m *Machine) Recycle(opts Options) {
 // Validation and panics match Recycle plus RestoreFrom. As with the pair,
 // follow with Reseed to move the PRNG streams to the trial's seed.
 func (m *Machine) RecycleRestore(opts Options, s *Snapshot) {
-	opts = normalizeOptions(opts)
-	if opts.Arch.Name != m.opts.Arch.Name || opts.Arch.PHRSize != m.opts.Arch.PHRSize {
-		panic("cpu: recycle across microarchitectures")
-	}
-	if opts.Harts != len(m.harts) {
-		panic("cpu: recycle with a different hart count")
-	}
-	if opts.NewPredictor != nil || m.opts.NewPredictor != nil {
-		panic("cpu: recycle with a custom predictor")
-	}
+	opts = m.recycleOptions(opts)
 	// Only the state RestoreFrom does not cover: options, memory, the trace
 	// hook, the injector rebuild and the stub registrations. Everything else
 	// Recycle resets is overwritten wholesale by RestoreFrom.
@@ -425,10 +424,11 @@ func (m *Machine) RecycleRestore(opts Options, s *Snapshot) {
 	m.RestoreFrom(s)
 }
 
-// ForgetRestoreSync drops the restore-sync marker, forcing the next
-// RestoreFrom onto the full-copy path (which re-establishes sync).
-// Benchmarks use it to measure the flat restore against the dirty one.
-func (m *Machine) ForgetRestoreSync() { m.syncOK = false }
+// forgetRestoreSync drops the restore-sync marker, forcing the next
+// RestoreFrom onto the full-copy path (which re-establishes sync). This
+// package's tests and benchmarks use it to compare the flat restore with
+// the dirty one.
+func (m *Machine) forgetRestoreSync() { m.syncOK = false }
 
 // Hart returns logical core i.
 func (m *Machine) Hart(i int) *Hart { return m.harts[i] }
@@ -791,9 +791,6 @@ func (m *Machine) enterStub(h *Hart, prog *isa.Program, idx int, op isa.Op, imm 
 	return ti, nil
 }
 
-// targetIndex resolves a direct control transfer to its program index using
-// the assembler's pre-resolved TargetIdx, falling back to the address map
-// for hand-built Instr values.
 // targetIndex resolves a direct transfer's program index. The TargetIdx
 // fast path is duplicated at the call sites so the hot dispatch stays
 // inlinable; this slow path covers hand-built Instr values only.

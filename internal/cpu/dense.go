@@ -86,7 +86,7 @@ func (ps *progState) buildChain(code []denseInstr, idx int) int32 {
 // at points the dense loop compiles away, and a custom predictor defeats
 // the concrete-CBP specialization.
 func (m *Machine) denseEligible() bool {
-	return !m.opts.Scalar && m.inj == nil && m.TraceTaken == nil && m.opts.NewPredictor == nil
+	return !m.opts.scalar && m.inj == nil && m.TraceTaken == nil && m.opts.NewPredictor == nil
 }
 
 // denseFor returns the predecoded stream for prog, rebuilding it when the

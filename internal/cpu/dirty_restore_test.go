@@ -62,7 +62,7 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 					t.Fatalf("trial %d: restore-sync lost; the dirty path would not fire", trial)
 				}
 				fast.RestoreFrom(snap)
-				full.ForgetRestoreSync()
+				full.forgetRestoreSync()
 				full.RestoreFrom(snap)
 
 				if got := fast.Snapshot().Hash(); got != snap.Hash() {
@@ -83,7 +83,7 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 					t.Fatalf("trial %d: continuation after dirty restore diverged:\n got %+v\nwant %+v", trial, got, want)
 				}
 				fast.RestoreFrom(snap)
-				full.ForgetRestoreSync()
+				full.forgetRestoreSync()
 				full.RestoreFrom(snap)
 			}
 		})

@@ -145,7 +145,7 @@ type chainDiff struct {
 func newChainDiff(cfg bpu.Config) *chainDiff {
 	d := &chainDiff{cfg: cfg}
 	for i := range d.ms {
-		d.ms[i] = New(Options{Arch: cfg, Scalar: i == 1})
+		d.ms[i] = New(Options{Arch: cfg, scalar: i == 1})
 	}
 	return d
 }
@@ -162,7 +162,7 @@ func newChainDiff(cfg bpu.Config) *chainDiff {
 func (d *chainDiff) check(t *testing.T, limit uint64, prog *isa.Program, warm bool, repatch func()) {
 	t.Helper()
 	for i, m := range d.ms {
-		m.Recycle(Options{Arch: d.cfg, Seed: 9, StepLimit: limit, Scalar: i == 1})
+		m.Recycle(Options{Arch: d.cfg, Seed: 9, StepLimit: limit, scalar: i == 1})
 	}
 	pair := func(what string) {
 		t.Helper()

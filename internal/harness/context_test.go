@@ -59,7 +59,7 @@ func (c *countdownCtx) Err() error {
 // truncated report. The countdown lands the cancellation at a deterministic
 // trial index on the sequential path.
 func TestDriversCancelMidSweep(t *testing.T) {
-	seq := Options{Parallelism: 1}
+	seq := Options{parallelism: 1}
 	cases := []struct {
 		name string
 		fire int // Err observations before the context dies

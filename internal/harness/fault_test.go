@@ -18,7 +18,7 @@ func TestFaultedAESParallelismInvariant(t *testing.T) {
 	}
 	prof := faultinject.Default().WithPollution(0.001, 8)
 	opts := func(w int) Options {
-		return Options{Parallelism: w, Faults: &prof}
+		return Options{parallelism: w, Faults: &prof}
 	}
 	base, err := AESLeakEval(context.Background(), opts(1), 6, 0.015)
 	if err != nil {
@@ -43,12 +43,12 @@ func TestFaultedReadPHRParallelismInvariant(t *testing.T) {
 		t.Skip("long test")
 	}
 	prof := faultinject.Default()
-	base, err := ReadPHRRandomEval(context.Background(), Options{Parallelism: 1, Faults: &prof}, 3, 8)
+	base, err := ReadPHRRandomEval(context.Background(), Options{parallelism: 1, Faults: &prof}, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 0} {
-		rep, err := ReadPHRRandomEval(context.Background(), Options{Parallelism: w, Faults: &prof}, 3, 8)
+		rep, err := ReadPHRRandomEval(context.Background(), Options{parallelism: w, Faults: &prof}, 3, 8)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", w, err)
 		}

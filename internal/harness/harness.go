@@ -11,12 +11,13 @@
 // Lake, the per-driver default seed), so recorded golden results don't move.
 //
 // The drivers whose iterations are independent (ReadPHRRandomEval,
-// Fig7ImageRecovery, AESLeakEval) shard them across a bounded worker pool
-// through one trial runner (runTrials). Every trial runs on a pooled
-// machine recycled to a seed derived from the trial index alone, so a
-// report is a pure function of (Options, arguments):
-// byte-identical at every Parallelism level, including the sequential
-// Parallelism: 1 path the determinism tests pin the pool against.
+// ExtendedReadEval, Fig6PathfinderAES, Fig7ImageRecovery, AESLeakEval) run
+// them through one trial runner (runTrials), which shards them across a
+// bounded worker pool, one trial at a time, and owns their retry policy.
+// Every trial runs on a pooled machine recycled to a seed derived from the
+// trial index alone, so a report is a pure function of (Options,
+// arguments): byte-identical at every worker count, including the
+// sequential path the determinism tests pin the pool against.
 package harness
 
 import (
@@ -59,67 +60,39 @@ type Options struct {
 	Arch bpu.Config // modeled microarchitecture; zero value means Alder Lake
 	Seed int64      // base seed; 0 selects the driver's historical default
 
-	// RefModel backs every machine the driver builds with the naive
-	// internal/refmodel oracle instead of the production bpu.CBP. Slow —
-	// the oracle recomputes every fold bit by bit — but because both
-	// implementations are deterministic and drive the same seeds, a driver
-	// must produce an identical report either way; the harness tests use
-	// this for end-to-end differential validation.
-	RefModel bool
-
-	// Parallelism bounds the worker pool of the sharded drivers
-	// (ReadPHRRandomEval, Fig7ImageRecovery, AESLeakEval): 0 selects
-	// GOMAXPROCS, 1 forces the exact sequential path, higher values cap the
-	// pool. Per-trial seeds depend only on the trial index, so the report is
-	// byte-identical at every setting.
-	Parallelism int
-
-	// BatchSize is the trial-group grain of the sharded drivers: each worker
-	// claims BatchSize consecutive trial indices at a time and runs them in
-	// index order on one pooled machine, so the grain only balances load
-	// across workers. 0 selects defaultBatchSize, 1 claims one trial at a
-	// time. Per-trial work is a pure function of the trial index, so the
-	// report is byte-identical at every setting — the BatchSize-invariance
-	// tests pin that.
-	BatchSize int
-
 	// Faults arms the deterministic fault-injection layer (package
 	// faultinject) on the machines the driver builds. Injector seeds derive
 	// from the same index-derived machine seeds as everything else, so
-	// fault-injected reports keep the Parallelism-invariance contract. A
+	// fault-injected reports keep the parallelism-invariance contract. A
 	// nil or disabled profile changes nothing. AESLeakEval exempts its
 	// primary machine — phase-1 control-flow recovery models the attacker's
 	// offline profiling step — and faults only the per-trial machines.
 	Faults *faultinject.Profile
 
-	// noWarmCache turns the warm-state cache (warmcache.go) off for this
-	// run. The cache trades time, never outcomes, so only this package's
-	// tests set it, to compare cache-on reports against a cache-off
-	// baseline.
+	// The test hooks below change no report byte; only this package's
+	// tests set them, to compare reports across settings.
+
+	// parallelism bounds the worker pool of the sharded drivers: 0 selects
+	// GOMAXPROCS, 1 forces the exact sequential path.
+	parallelism int
+
+	// refModel backs every machine the driver builds with the naive
+	// internal/refmodel oracle instead of the production bpu.CBP, for
+	// end-to-end differential validation. Slow — the oracle recomputes
+	// every fold bit by bit.
+	refModel bool
+
+	// noWarmCache turns the warm-state cache (warmcache.go) off, to compare
+	// cache-on reports against a cache-off baseline.
 	noWarmCache bool
 }
 
 // workers resolves the worker-pool size for the sharded drivers.
 func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
+	if o.parallelism > 0 {
+		return o.parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// defaultBatchSize is the trial-group grain when Options.BatchSize is 0.
-// Any grain yields a byte-identical report, so the constant only trades
-// group-claiming overhead against load balance across workers and can move
-// freely; no measurement has picked it yet. See EXPERIMENTS.md for the
-// tuning recipe.
-const defaultBatchSize = 8
-
-// batchSize resolves the trial-group grain for the sharded drivers.
-func (o Options) batchSize() int {
-	if o.BatchSize > 0 {
-		return o.BatchSize
-	}
-	return defaultBatchSize
 }
 
 // arch resolves the modeled microarchitecture: the zero value means Alder
@@ -142,7 +115,7 @@ func (o Options) seed(def int64) int64 {
 // cpu builds machine options for one run at the given derived seed.
 func (o Options) cpu(seed int64) cpu.Options {
 	co := cpu.Options{Arch: o.Arch, Seed: seed, Faults: o.Faults}
-	if o.RefModel {
+	if o.refModel {
 		co.NewPredictor = refmodel.NewPredictor
 	}
 	return co
@@ -295,14 +268,11 @@ type ReadPHRReport struct {
 // through a PHR-writing victim and read them back, reporting successes.
 // Trials are independent — each runs on its own machine seeded by the trial
 // index — and shard across the options' worker pool; per-trial outcomes
-// merge in index order, so the report does not depend on Parallelism. A
+// merge in index order, so the report does not depend on the pool size. A
 // trial whose capture or read errors is retried on a reseeded machine under
 // the zero Retry policy (three immediate attempts); exhausted trials count
 // as Failures.
 func ReadPHRRandomEval(ctx context.Context, opts Options, trials, doublets int) (*ReadPHRReport, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	seed := opts.seed(DefaultReadPHRSeed)
 	oks := make([]bool, trials)
 	errs, stats, err := runTrials(ctx, opts, trials, func(mach machFunc, t, attempt int) error {
@@ -361,75 +331,67 @@ type ExtendedReport struct {
 // ExtendedReadEval reproduces the §5 evaluation: victims with varying
 // numbers of taken branches (within and beyond the PHR window) have their
 // entire control-flow history recovered and compared against ground truth.
-// A case whose recovery errors is retried on a reseeded machine under the
-// zero Retry policy (three immediate attempts); an exhausted case records
-// its error and the sweep continues.
+// Cases are independent and shard across the options' worker pool like the
+// other sharded drivers' trials. A case whose recovery errors is retried on
+// a reseeded machine under the zero Retry policy (three immediate
+// attempts); an exhausted case records its error and the sweep continues.
 func ExtendedReadEval(ctx context.Context, opts Options, trips []int) (*ExtendedReport, error) {
 	seed := opts.seed(DefaultFig5Seed)
-	rep := &ExtendedReport{}
-	var stepBuf []pathfinder.Step
-	for i, n := range trips {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	cases := make([]ExtendedEvalResult, len(trips))
+	traced := make([]cpu.Counters, len(trips)) // the ground-truth trace machines
+	errs, stats, err := runTrials(ctx, opts, len(trips), func(mach machFunc, i, attempt int) error {
+		n := trips[i]
+		aseed := seed + int64(i) + retryReseed*int64(attempt)
+		m := mach(opts.cpu(aseed), nil)
+		// The victim pattern is the case's identity: fixed across
+		// attempts, only the machine seed is redrawn.
+		v := victim.PatternedLoop(n, victim.RandomPattern(n, seed+int64(7*i)))
+		rec, err := core.ExtendedReadPHR(m, v, core.ExtendedOptions{})
+		if err != nil {
+			return fmt.Errorf("harness: trips=%d: %w", n, err)
 		}
-		var res ExtendedEvalResult
-		rerr := Retry{}.Do(ctx, seed+int64(i), func(attempt int) error {
-			aseed := seed + int64(i) + retryReseed*int64(attempt)
-			m := cpu.New(opts.cpu(aseed))
-			// The victim pattern is the case's identity: fixed across
-			// attempts, only the machine seed is redrawn.
-			v := victim.PatternedLoop(n, victim.RandomPattern(n, seed+int64(7*i)))
-			rec, err := core.ExtendedReadPHR(m, v, core.ExtendedOptions{})
-			if err != nil {
-				rep.Stats.Add(m.Stats())
-				return fmt.Errorf("harness: trips=%d: %w", n, err)
-			}
-			truth, taken, stats, err := traceCapture(opts, aseed, v, &stepBuf)
-			if err != nil {
-				rep.Stats.Add(m.Stats())
-				return err
-			}
-			rep.Stats.Add(m.Stats())
-			rep.Stats.Add(stats)
-			exact := rec.Path.Complete && len(truth) == countTaken(rec.Path)
-			if exact {
-				j := 0
-				for _, s := range rec.Path.Steps {
-					if !s.Taken {
-						continue
-					}
-					if s.Addr != truth[j].Addr || s.Target != truth[j].Target {
-						exact = false
-						break
-					}
-					j++
+		truth, tstats, err := traceCapture(opts, aseed, v)
+		if err != nil {
+			return err
+		}
+		traced[i].Add(tstats)
+		exact := rec.Path.Complete && len(truth) == countTaken(rec.Path)
+		if exact {
+			j := 0
+			for _, s := range rec.Path.Steps {
+				if !s.Taken {
+					continue
 				}
+				if s.Addr != truth[j].Addr || s.Target != truth[j].Target {
+					exact = false
+					break
+				}
+				j++
 			}
-			res = ExtendedEvalResult{TakenBranches: taken, Exact: exact}
-			return nil
-		})
-		if rerr != nil {
-			if ctx.Err() != nil {
-				return nil, rerr
-			}
-			res = ExtendedEvalResult{Err: rerr.Error()}
+		}
+		cases[i] = ExtendedEvalResult{TakenBranches: len(truth), Exact: exact}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &ExtendedReport{Stats: stats}
+	for i, res := range cases {
+		if errs[i] != nil {
+			res = ExtendedEvalResult{Err: errs[i].Error()}
 		}
 		rep.Cases = append(rep.Cases, res)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		rep.Stats.Add(traced[i])
 	}
 	return rep, nil
 }
 
 // traceCapture ground-truths the capture run's taken branches (minus the
-// clear chain). The trace is accumulated in *buf, which is reset, grown as
-// needed and handed back for the next call, so an evaluation loop traces
-// every victim into one reusable buffer; the returned slice views *buf and
-// stays valid until the buffer's next use.
-func traceCapture(opts Options, seed int64, v core.Victim, buf *[]pathfinder.Step) ([]pathfinder.Step, int, cpu.Counters, error) {
+// clear chain) on a fresh machine of its own, returning them with that
+// machine's counters.
+func traceCapture(opts Options, seed int64, v core.Victim) ([]pathfinder.Step, cpu.Counters, error) {
 	m := cpu.New(opts.cpu(seed))
-	steps := (*buf)[:0]
+	var steps []pathfinder.Step
 	m.TraceTaken = func(pc, tgt uint64) {
 		steps = append(steps, pathfinder.Step{Addr: pc, Target: tgt, Taken: true})
 	}
@@ -438,14 +400,12 @@ func traceCapture(opts Options, seed int64, v core.Victim, buf *[]pathfinder.Ste
 	}
 	prog, err := core.BuildCaptureProgram(m, v)
 	if err != nil {
-		return nil, 0, cpu.Counters{}, err
+		return nil, cpu.Counters{}, err
 	}
 	if err := m.Run(prog, "cap_main"); err != nil {
-		return nil, 0, cpu.Counters{}, err
+		return nil, cpu.Counters{}, err
 	}
-	*buf = steps
-	steps = steps[m.Arch().PHRSize:]
-	return steps, len(steps), m.Stats(), nil
+	return steps[m.Arch().PHRSize:], m.Stats(), nil
 }
 
 // phrWriterVictim is the §4.2 evaluation victim: calling it runs a
@@ -483,50 +443,45 @@ type Fig6Result struct {
 }
 
 // Fig6PathfinderAES reproduces Figure 6: recover the AES victim's runtime
-// CFG and loop trip count from its PHR. A failed recovery is retried on a
-// reseeded machine under the zero Retry policy; the result is a single
-// unit of work, so exhausting the budget returns the last error rather than
-// a degraded report.
+// CFG and loop trip count from its PHR. The recovery is one trial of the
+// shared runner, so a failed attempt is retried on a reseeded machine under
+// the zero Retry policy; the result is a single unit of work, so exhausting
+// the budget returns the last error rather than a degraded report.
 func Fig6PathfinderAES(ctx context.Context, opts Options) (*Fig6Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	seed := opts.seed(DefaultFig6Seed)
 	key := make([]byte, 16)
 	for i := range key {
 		key[i] = byte(i*17 + 3)
 	}
-	var res *Fig6Result
-	var stats cpu.Counters
-	err := Retry{}.Do(ctx, seed, func(attempt int) error {
-		m := cpu.New(opts.cpu(seed + retryReseed*int64(attempt)))
+	var res Fig6Result
+	errs, stats, err := runTrials(ctx, opts, 1, func(mach machFunc, _, attempt int) error {
+		m := mach(opts.cpu(seed+retryReseed*int64(attempt)), nil)
 		a, err := attack.NewAESAttack(m, key)
 		if err != nil {
 			return err
 		}
 		if err := a.RecoverControlFlow(); err != nil {
-			stats.Add(m.Stats())
 			return err
 		}
 		cfg, err := pathfinder.Build(a.Rec.CaptureProgram)
 		if err != nil {
-			stats.Add(m.Stats())
 			return err
 		}
-		seq := a.Rec.Path.BlockSequence(cfg, a.Rec.Entry, a.Rec.Final)
-		stats.Add(m.Stats())
-		res = &Fig6Result{
+		res = Fig6Result{
 			LoopIterations: a.LoopIterations(),
-			BlockSequence:  seq,
+			BlockSequence:  a.Rec.Path.BlockSequence(cfg, a.Rec.Entry, a.Rec.Final),
 			CFGDump:        cfg.Dump(),
-			Stats:          stats,
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	if errs[0] != nil {
+		return nil, errs[0]
+	}
+	res.Stats = stats
+	return &res, nil
 }
 
 // Fig7Result is one recovered image of the §8 evaluation. Err is set when
@@ -559,9 +514,6 @@ type Fig7Report struct {
 // are encoded before the trials run and scored afterwards, and an encode or
 // score error aborts the call.
 func Fig7ImageRecovery(ctx context.Context, opts Options, size, quality, maxImages int) (*Fig7Report, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	seed := opts.seed(DefaultFig7Seed)
 	set := media.TestSet(size)
 	if maxImages > 0 && maxImages < len(set) {
@@ -673,12 +625,9 @@ func aesPhase1Key(opts Options, noise float64) WarmStateKey {
 // warmed with two unpoisoned capture runs (or restored from a shared
 // post-warm snapshot, below), and shard across the options' worker pool.
 // Plaintexts and early-exit counts for every trial are drawn from a single
-// stream before sharding, so the report is byte-identical at every
-// Parallelism level.
+// stream before sharding, so the report is byte-identical at every worker
+// count.
 func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (*AESEvalResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -852,12 +801,9 @@ func DefaultNoiseIntensities() []float64 {
 // counterpart of AESLeakEval: the paper reports 98.43% byte accuracy under
 // its noise model, and this sweep records how that accuracy decays as
 // context-switch pressure on the path history rises. Each point inherits
-// the options' Parallelism, seeds and retry policy, so the report is
-// byte-identical at every Parallelism level.
+// the options' seeds and the runner's retry policy, so the report is
+// byte-identical at every worker count.
 func AESNoiseSweep(ctx context.Context, opts Options, trials int, noise float64, intensities []float64) (*NoiseSweepReport, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	base := faultinject.Default()
 	if opts.Faults != nil {
 		base = *opts.Faults
@@ -929,11 +875,8 @@ type AESGridReport struct {
 // to the options' own arch and seed and noise 0. Each cell writes its own
 // grid slot and the report is assembled in grid order, so the report is a
 // pure function of (Options, arguments): byte-identical with the warm cache
-// or the store on or off, at every Parallelism and BatchSize.
+// or the store on or off, at every worker count.
 func AESGridSweep(ctx context.Context, opts Options, trials int, archs []bpu.Config, seeds []int64, noises []float64) (*AESGridReport, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if len(archs) == 0 {
 		archs = []bpu.Config{opts.Arch}
 	}

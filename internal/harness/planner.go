@@ -88,7 +88,7 @@ func prefetchPrefix(key WarmStateKey) <-chan struct{} {
 // with one non-zero prefix counts as a group, and a zero-prefix cell is a
 // group of its own; while a group executes, the next group's prefix is
 // prefetched from the persistent store (depth-1 pipeline). Cell
-// parallelism lives inside each cell's driver (Options.Parallelism); the
+// parallelism lives inside each cell's driver (its trial runner); the
 // sweep itself is sequential over cells.
 func RunSweep(ctx context.Context, cells []SweepCell) error {
 	storeOn := InstalledSnapStore() != nil

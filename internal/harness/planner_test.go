@@ -13,41 +13,6 @@ import (
 	"pathfinder/internal/snapstore"
 )
 
-func TestOptionsValidate(t *testing.T) {
-	for _, o := range []Options{{}, {Parallelism: 4, BatchSize: 1}, {Parallelism: 1}} {
-		if err := o.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", o, err)
-		}
-	}
-	cases := []struct {
-		opts  Options
-		field string
-	}{
-		{Options{Parallelism: -1}, "Parallelism"},
-		{Options{BatchSize: -3}, "BatchSize"},
-	}
-	for _, tc := range cases {
-		err := tc.opts.Validate()
-		var oe *OptionsError
-		if !errors.As(err, &oe) {
-			t.Fatalf("Validate(%+v) = %v, want *OptionsError", tc.opts, err)
-		}
-		if oe.Field != tc.field {
-			t.Errorf("rejected field %q, want %q", oe.Field, tc.field)
-		}
-	}
-	// The sharded drivers must refuse to start rather than absorb the value.
-	if _, err := AESLeakEval(context.Background(), Options{Parallelism: -2}, 1, 0); err == nil {
-		t.Error("AESLeakEval accepted negative Parallelism")
-	}
-	if _, err := ReadPHRRandomEval(context.Background(), Options{BatchSize: -1}, 1, 1); err == nil {
-		t.Error("ReadPHRRandomEval accepted negative BatchSize")
-	}
-	if _, err := AESGridSweep(context.Background(), Options{Parallelism: -1}, 1, nil, nil, nil); err == nil {
-		t.Error("AESGridSweep accepted negative Parallelism")
-	}
-}
-
 // fakeSnapStore is an in-memory SnapStore for the cache-tier unit tests.
 type fakeSnapStore struct {
 	mu    sync.Mutex
@@ -289,8 +254,7 @@ func TestRunSweepCellError(t *testing.T) {
 // TestAESGridSweepPlannerStoreByteIdentical is the sweep determinism
 // contract: the grid report is byte-identical to the cache-off sequential
 // baseline with the warm cache on and the persistent store absent, cold or
-// warm, at sequential and parallel Parallelism and at per-trial and auto
-// BatchSize.
+// warm, at sequential and parallel worker counts.
 func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long test")
@@ -312,7 +276,7 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		return marshalReport(t, rep)
 	}
 
-	want := run(t, Options{Parallelism: 1, noWarmCache: true}, nil)
+	want := run(t, Options{parallelism: 1, noWarmCache: true}, nil)
 
 	dir := t.TempDir()
 	openStore := func(t *testing.T) *snapstore.Store {
@@ -332,8 +296,8 @@ func TestAESGridSweepPlannerStoreByteIdentical(t *testing.T) {
 		{"planner-on-store-cold", Options{}, true},
 		{"planner-on-store-warm", Options{}, true},
 		{"planner-off-store-warm", Options{}, true},
-		{"p1-batch1-store-warm", Options{Parallelism: 1, BatchSize: 1}, true},
-		{"p4-store-warm", Options{Parallelism: 4}, true},
+		{"p1-batch1-store-warm", Options{parallelism: 1}, true},
+		{"p4-store-warm", Options{parallelism: 4}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -381,7 +345,7 @@ func TestAESNoiseSweepPlannerByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	intensities := []float64{0, 0.004}
 	warm.reset()
-	off, err := AESNoiseSweep(ctx, Options{Parallelism: 1, noWarmCache: true}, 2, 0.015, intensities)
+	off, err := AESNoiseSweep(ctx, Options{parallelism: 1, noWarmCache: true}, 2, 0.015, intensities)
 	if err != nil {
 		t.Fatal(err)
 	}

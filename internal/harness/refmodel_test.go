@@ -20,7 +20,7 @@ func TestRefModelDriverParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Obs2CounterWidth(ctx, Options{Arch: arch, RefModel: true}, 4)
+		ref, err := Obs2CounterWidth(ctx, Options{Arch: arch, refModel: true}, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestRefModelReadPHRParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ReadPHRRandomEval(ctx, Options{RefModel: true}, 1, 8)
+	ref, err := ReadPHRRandomEval(ctx, Options{refModel: true}, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,21 +31,20 @@ func machinePool(arch bpu.Config) *sync.Pool {
 }
 
 // machFunc hands one trial attempt its machine, in the state cpu.New(co)
-// produces — then restored to snap when snap is non-nil. Under RefModel,
+// produces — then restored to snap when snap is non-nil. Under refModel,
 // where the warm cache is off, snap is always nil.
 type machFunc func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine
 
 // runTrials runs trial(mach, t, attempt) for every index t in [0, n),
-// sharded by shardGroups at the options' Parallelism and BatchSize. Each
-// trial runs under the zero Retry policy: the trial derives its attempt's
-// machine options from (t, attempt), asks mach for the machine at most once
-// per attempt and writes its outcome into a per-index slot the driver owns.
+// sharded by shardGroups across the options' worker pool. Each trial runs
+// under the zero Retry policy: the trial derives its attempt's machine
+// options from (t, attempt), asks mach for the machine at most once per
+// attempt and writes its outcome into a per-index slot the driver owns.
 //
-// A worker runs each claimed group's trials in index order on one machine
-// from the process-wide pool, recycled before every attempt and returned
-// when the group completes (an aborted group's machine is left to the GC);
-// under RefModel every attempt gets a fresh machine instead, since an
-// oracle predictor cannot be recycled. After each attempt
+// Each worker takes one machine from the process-wide pool for all the
+// trials it claims, recycles it before every attempt and returns it when
+// the run ends; under refModel every attempt gets a fresh machine instead,
+// since an oracle predictor cannot be recycled. After each attempt
 // runTrials adds the counters of the machine that attempt took, and it
 // returns their sum (merged in index order) with errs[t] holding the last
 // error of a trial that used up its attempts. A context error aborts the run
@@ -54,19 +53,23 @@ func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFun
 	errs = make([]error, n)
 	per := make([]cpu.Counters, n)
 	pool := machinePool(opts.arch())
-	err = shardGroups(ctx, opts.workers(), opts.batchSize(), n, func(lo, hi int) error {
-		var m, got *cpu.Machine // the group's pooled machine; the current attempt's machine
+	workers := min(opts.workers(), n)
+	ms := make([]*cpu.Machine, workers) // each worker's pooled machine
+	err = shardGroups(ctx, workers, n, func(w, t int) error {
+		var got *cpu.Machine // the current attempt's machine
 		mach := func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine {
-			if opts.RefModel {
+			if opts.refModel {
 				got = cpu.New(co)
 				return got
 			}
+			m := ms[w]
 			if m == nil {
 				if v := pool.Get(); v != nil {
 					m = v.(*cpu.Machine)
 				} else {
 					m = cpu.New(co)
 				}
+				ms[w] = m
 			}
 			if snap != nil {
 				// The fused form keeps the machine in restore-sync with a
@@ -79,25 +82,25 @@ func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFun
 			got = m
 			return m
 		}
-		for t := lo; t < hi; t++ {
-			// The zero policy never waits, so the jitter seed is immaterial.
-			errs[t] = Retry{}.Do(ctx, int64(t), func(attempt int) error {
-				got = nil
-				err := trial(mach, t, attempt)
-				if got != nil {
-					per[t].Add(got.Stats())
-				}
-				return err
-			})
-			if errs[t] != nil && ctx.Err() != nil {
-				return errs[t]
+		// The zero policy never waits, so the jitter seed is immaterial.
+		errs[t] = Retry{}.Do(ctx, int64(t), func(attempt int) error {
+			got = nil
+			err := trial(mach, t, attempt)
+			if got != nil {
+				per[t].Add(got.Stats())
 			}
-		}
-		if m != nil {
-			pool.Put(m)
+			return err
+		})
+		if errs[t] != nil && ctx.Err() != nil {
+			return errs[t]
 		}
 		return nil
 	})
+	for _, m := range ms {
+		if m != nil {
+			pool.Put(m)
+		}
+	}
 	if err != nil {
 		return nil, cpu.Counters{}, err
 	}
@@ -107,39 +110,34 @@ func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFun
 	return errs, stats, nil
 }
 
-// shardGroups runs fn(lo, hi) for every group of up to `group` consecutive
-// indices covering [0, n), fanned out across at most `workers` goroutines.
-// Workers claim whole groups atomically; fn must be independent across
-// indices and write its results into per-index slots owned by the caller.
-// shardGroups imposes no ordering on group completion, so deterministic
-// reports come from merging those slots in index order afterwards — the
-// report is byte-identical at every (workers, group) combination.
+// shardGroups runs fn(w, i) for every index i in [0, n), fanned out across
+// at most `workers` goroutines; w in [0, workers) names the goroutine that
+// runs the call, so fn can keep per-worker state without locking. Workers
+// claim one index at a time; fn must be independent across indices and
+// write its results into per-index slots owned by the caller. shardGroups
+// imposes no ordering on completion, so deterministic reports come from
+// merging those slots in index order afterwards — the report is
+// byte-identical at every worker count.
 //
 // Error semantics match the sequential loop the pool replaces: the error of
-// the lowest failing group wins (groups below a failure were dispatched
+// the lowest failing index wins (indices below a failure were dispatched
 // before it and run to completion, so a lower failure always gets the chance
-// to claim the slot), a context error takes precedence, and no new groups
+// to claim the slot), a context error takes precedence, and no new indices
 // are dispatched after the first failure.
-func shardGroups(ctx context.Context, workers, group, n int, fn func(lo, hi int) error) error {
-	if group < 1 {
-		group = 1
-	}
-	groups := (n + group - 1) / group
-	if workers > groups {
-		workers = groups
+func shardGroups(ctx context.Context, workers, n int, fn func(w, i int) error) error {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for g := 0; g < groups; g++ {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			lo := g * group
-			hi := min(lo+group, n)
-			if err := fn(lo, hi); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
-		// A cancellation that lands during the final group must surface
+		// A cancellation that lands during the final index must surface
 		// exactly like the parallel path's post-wait check below — callers
 		// rely on shardGroups never returning nil for a dead context.
 		return ctx.Err()
@@ -160,16 +158,14 @@ func shardGroups(ctx context.Context, workers, group, n int, fn func(lo, hi int)
 				if stop.Load() || ctx.Err() != nil {
 					return
 				}
-				g := int(next.Add(1)) - 1
-				if g >= groups {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				lo := g * group
-				hi := min(lo+group, n)
-				if err := fn(lo, hi); err != nil {
+				if err := fn(w, i); err != nil {
 					mu.Lock()
-					if lo < errLo {
-						errLo, firstErr = lo, err
+					if i < errLo {
+						errLo, firstErr = i, err
 					}
 					mu.Unlock()
 					stop.Store(true)

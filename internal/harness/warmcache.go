@@ -32,14 +32,14 @@ import (
 // microarchitecture, seed phase — and entries are only shared where the
 // captured state is provably independent of what the key omits (documented
 // at each call site). Reports therefore stay byte-identical with the cache
-// on or off, at every Parallelism level; the determinism tests pin exactly
-// that, turning the cache off through the unexported Options.noWarmCache.
+// on or off, at every parallelism level; the determinism tests pin exactly
+// that, turning the cache off through the Options.noWarmCache test hook.
 
 // warmOn resolves whether this run uses the cache. The refmodel oracle
 // always bypasses it: a custom predictor's state cannot be captured
 // (cpu.Snapshot panics), mirroring the machine-pool rule.
 func (o Options) warmOn() bool {
-	return !o.RefModel && !o.noWarmCache
+	return !o.refModel && !o.noWarmCache
 }
 
 // warmKey is the content address of one cached snapshot. All fields are

@@ -128,7 +128,7 @@ func TestWarmOnResolution(t *testing.T) {
 	}{
 		{"default on", Options{}, true},
 		{"test hook off", Options{noWarmCache: true}, false},
-		{"refmodel always off", Options{RefModel: true}, false},
+		{"refmodel always off", Options{refModel: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestAESWarmCacheByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, noise := range []float64{0, 0.015} {
 		t.Run(fmt.Sprintf("noise=%v", noise), func(t *testing.T) {
-			off, err := AESLeakEval(ctx, Options{Parallelism: 1, noWarmCache: true}, 4, noise)
+			off, err := AESLeakEval(ctx, Options{parallelism: 1, noWarmCache: true}, 4, noise)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func TestAESWarmCacheByteIdentical(t *testing.T) {
 			for _, w := range []int{1, 4, 0} {
 				warm.reset()
 				for _, state := range []string{"cold", "warm"} {
-					rep, err := AESLeakEval(ctx, Options{Parallelism: w}, 4, noise)
+					rep, err := AESLeakEval(ctx, Options{parallelism: w}, 4, noise)
 					if err != nil {
 						t.Fatalf("parallelism %d (%s cache): %v", w, state, err)
 					}

@@ -87,11 +87,10 @@ type WarmFetcher func(key WarmStateKey) (*cpu.Snapshot, bool)
 
 // warmFetch is the installed hook plus its hit/miss accounting.
 var (
-	warmFetchMu      sync.RWMutex
-	warmFetchFn      WarmFetcher
-	warmFetchHits    atomic.Uint64 // misses resolved by the fetcher
-	warmFetchMiss    atomic.Uint64 // misses the fetcher could not resolve
-	warmFetchCorrupt atomic.Uint64 // peer snapshots rejected by wire/hash verification
+	warmFetchMu   sync.RWMutex
+	warmFetchFn   WarmFetcher
+	warmFetchHits atomic.Uint64 // misses resolved by the fetcher
+	warmFetchMiss atomic.Uint64 // misses the fetcher could not resolve
 )
 
 // SetWarmFetch installs (or, with nil, removes) the process-global warm
@@ -107,19 +106,6 @@ func SetWarmFetch(f WarmFetcher) {
 // resolved and how many it passed on.
 func WarmFetchStats() (hits, misses uint64) {
 	return warmFetchHits.Load(), warmFetchMiss.Load()
-}
-
-// RecordWarmFetchCorrupt counts one peer snapshot rejected at the transport
-// edge — a wire envelope or content hash that failed verification. The
-// fetcher calls this per rejected holder, before retrying the next one, so
-// the counter measures corrupt deliveries rather than failed fetches.
-func RecordWarmFetchCorrupt() {
-	warmFetchCorrupt.Add(1)
-}
-
-// WarmFetchCorrupt reports how many peer snapshots failed verification.
-func WarmFetchCorrupt() uint64 {
-	return warmFetchCorrupt.Load()
 }
 
 // getOrFetch is get plus the spill and fetch tiers: on a local miss it
@@ -225,7 +211,6 @@ func WarmCacheStats() (hits, misses uint64) {
 func ResetWarmFetchStats() {
 	warmFetchHits.Store(0)
 	warmFetchMiss.Store(0)
-	warmFetchCorrupt.Store(0)
 }
 
 // ResetWarmCache empties the process-global warm cache and zeroes its

@@ -188,7 +188,7 @@ func TestAESFetchedWarmStateByteIdentical(t *testing.T) {
 	// model a network transfer.
 	warm.reset()
 	SetWarmFetch(nil)
-	want, err := AESLeakEval(ctx, Options{Parallelism: 1}, 4, 0)
+	want, err := AESLeakEval(ctx, Options{parallelism: 1}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestAESFetchedWarmStateByteIdentical(t *testing.T) {
 		fetched.Add(1)
 		return dec, true
 	})
-	got, err := AESLeakEval(ctx, Options{Parallelism: 4}, 4, 0)
+	got, err := AESLeakEval(ctx, Options{parallelism: 4}, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestWarmCacheKillSwitchMidRun(t *testing.T) {
 	}
 	ctx := context.Background()
 	warm.reset()
-	on, err := AESLeakEval(ctx, Options{Parallelism: 2}, 3, 0)
+	on, err := AESLeakEval(ctx, Options{parallelism: 2}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestWarmCacheKillSwitchMidRun(t *testing.T) {
 	}
 
 	warm.reset()
-	off, err := AESLeakEval(ctx, Options{Parallelism: 2, noWarmCache: true}, 3, 0)
+	off, err := AESLeakEval(ctx, Options{parallelism: 2, noWarmCache: true}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestWarmCacheKillSwitchMidRun(t *testing.T) {
 	}
 
 	warm.reset()
-	back, err := AESLeakEval(ctx, Options{Parallelism: 2}, 3, 0)
+	back, err := AESLeakEval(ctx, Options{parallelism: 2}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,6 @@ type Params struct {
 	Images   int     `json:"images,omitempty"`   // fig7: test-set prefix length
 	Noise    float64 `json:"noise,omitempty"`    // aes: transient-collapse probability (<0 = exactly zero)
 
-	// BatchSize is the trial-group grain of the sharded drivers: each worker
-	// claims this many consecutive trials at a time and runs them on one
-	// pooled machine, so it sizes no allocation and only balances load
-	// across workers. 0 selects the harness default; any value yields a
-	// byte-identical report.
-	BatchSize int `json:"batch_size,omitempty"`
-
 	// Faults arms the deterministic fault-injection layer for the job's
 	// machines; nil leaves it off. aes_noise uses it as the sweep's base
 	// profile (nil = faultinject.Default).
@@ -79,7 +72,7 @@ func (p Params) harnessOptions() (harness.Options, error) {
 	if err != nil {
 		return harness.Options{}, err
 	}
-	return harness.Options{Arch: arch, Seed: p.Seed, Faults: p.Faults, BatchSize: p.BatchSize}, nil
+	return harness.Options{Arch: arch, Seed: p.Seed, Faults: p.Faults}, nil
 }
 
 // EffectiveNoise maps the canonical noise field to the numeric probability
@@ -210,9 +203,6 @@ func (r *Registry) Resolve(name string, p Params) (Params, error) {
 	if p.Images == 0 {
 		p.Images = d.Images
 	}
-	if p.BatchSize == 0 {
-		p.BatchSize = d.BatchSize
-	}
 	// Zero means "use the default", so an explicitly noiseless run is
 	// spelled with a negative value, canonicalized to -1. The sentinel
 	// survives Resolve (rather than collapsing to 0) so resolving is
@@ -251,7 +241,7 @@ func checkRanges(p Params) error {
 		v    int
 	}{
 		{"max_m", p.MaxM}, {"doublets", p.Doublets}, {"trials", p.Trials},
-		{"size", p.Size}, {"images", p.Images}, {"batch_size", p.BatchSize},
+		{"size", p.Size}, {"images", p.Images},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("service: %s %d is negative", f.name, f.v)

@@ -89,18 +89,6 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached entry for key, marking it most-recently used.
-func (c *resultCache) get(key resultKey) (*resultEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(it.ele)
-	return it.e, true
-}
-
 // put stores e under key (first writer wins), evicting the
 // least-recently-used entry when over capacity.
 func (c *resultCache) put(key resultKey, e *resultEntry) {
@@ -126,18 +114,25 @@ func (c *resultCache) storeLocked(key resultKey, e *resultEntry) {
 	}
 }
 
-// begin joins or opens the singleflight for key: the first caller becomes
-// the leader (leader == true) and must call finish; later callers get the
-// existing flight to wait on.
-func (c *resultCache) begin(key resultKey) (f *resultFlight, leader bool) {
+// begin returns key's cached entry on a hit, marking it most-recently
+// used. On a miss it joins or opens the singleflight for key: the first
+// caller becomes the leader (leader == true) and must call finish; later
+// callers get the existing flight to wait on. The lookup and the join share
+// one lock, so a job cannot miss the cache and then lead a second run of
+// work an identical leader has just stored.
+func (c *resultCache) begin(key resultKey) (e *resultEntry, f *resultFlight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if it, ok := c.items[key]; ok {
+		c.order.MoveToFront(it.ele)
+		return it.e, nil, false
+	}
 	if f, ok := c.inflight[key]; ok {
-		return f, false
+		return nil, f, false
 	}
 	f = &resultFlight{done: make(chan struct{})}
 	c.inflight[key] = f
-	return f, true
+	return nil, f, true
 }
 
 // finish closes the leader's flight, caching e when non-nil and releasing

@@ -94,13 +94,13 @@ func TestDuplicatePutRefreshesRecency(t *testing.T) {
 	c.put(kb, &resultEntry{})
 	c.put(ka, &resultEntry{}) // duplicate: refreshes a, so b is now oldest
 	c.put(kc, &resultEntry{}) // evicts b
-	if _, ok := c.get(ka); !ok {
+	if !cached(c, ka) {
 		t.Error("a evicted despite its duplicate-put refresh")
 	}
-	if _, ok := c.get(kb); ok {
+	if cached(c, kb) {
 		t.Error("b survived; the duplicate put did not refresh a's recency")
 	}
-	if _, ok := c.get(kc); !ok {
+	if !cached(c, kc) {
 		t.Error("c missing")
 	}
 }

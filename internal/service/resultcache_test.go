@@ -270,23 +270,62 @@ func TestResultCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
+// cached reports whether key holds an entry, refreshing its recency the
+// way a job's lookup does; a miss closes the flight it opened.
+func cached(c *resultCache, key resultKey) bool {
+	e, f, leader := c.begin(key)
+	if leader {
+		c.finish(key, f, nil)
+	}
+	return e != nil
+}
+
 func TestResultCacheLRUBound(t *testing.T) {
 	c := newResultCache(2)
 	k := func(i int) resultKey { return resultKey{experiment: "e", params: fmt.Sprint(i)} }
 	e := func(i int) *resultEntry { return &resultEntry{result: json.RawMessage(fmt.Sprint(i))} }
 	c.put(k(1), e(1))
 	c.put(k(2), e(2))
-	if _, ok := c.get(k(1)); !ok { // refresh 1; 2 becomes least recent
+	if !cached(c, k(1)) { // refresh 1; 2 becomes least recent
 		t.Fatal("entry 1 missing")
 	}
 	c.put(k(3), e(3))
-	if _, ok := c.get(k(2)); ok {
+	if cached(c, k(2)) {
 		t.Error("least-recently-used entry survived eviction")
 	}
-	if _, ok := c.get(k(1)); !ok {
+	if !cached(c, k(1)) {
 		t.Error("recently-used entry was evicted")
 	}
 	if got := c.len(); got != 2 {
 		t.Errorf("len = %d, want 2", got)
+	}
+}
+
+// TestBeginServesStoredResult: once a result is stored, begin must hand it
+// back rather than make the caller the leader of a second run. A lookup
+// and a flight join taken under separate locks let a job that missed just
+// before an identical leader finished lead that work again.
+func TestBeginServesStoredResult(t *testing.T) {
+	c := newResultCache(4)
+	k := resultKey{experiment: "e", params: "{}"}
+	want := &resultEntry{result: json.RawMessage(`1`)}
+	c.put(k, want)
+	e, f, leader := c.begin(k)
+	if leader || f != nil {
+		t.Fatalf("begin after put made the caller a leader (flight %v)", f)
+	}
+	if e != want {
+		t.Fatalf("begin after put returned %v, want the stored entry", e)
+	}
+
+	// The same holds for a result a leader's finish stored.
+	k2 := resultKey{experiment: "e", params: "2"}
+	_, f, leader = c.begin(k2)
+	if !leader {
+		t.Fatal("first begin on an empty key did not lead")
+	}
+	c.finish(k2, f, want)
+	if e, _, leader := c.begin(k2); leader || e != want {
+		t.Fatalf("begin after finish = (%v, leader %v), want the stored entry", e, leader)
 	}
 }

@@ -487,7 +487,6 @@ func TestSubmitRejectsOutOfRangeParams(t *testing.T) {
 		experiment string
 		p          Params
 	}{
-		{"aes", Params{BatchSize: -1}},
 		{"aes", Params{Trials: -1}},
 		{"readphr", Params{Trials: -1}},
 		{"readphr", Params{Doublets: -1}},
@@ -507,14 +506,18 @@ func TestSubmitRejectsOutOfRangeParams(t *testing.T) {
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"experiment":"aes","params":{"batch_size":-1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("POST /v1/jobs with batch_size -1: status %d, want 400", resp.StatusCode)
+	// trials -1 is out of range; the strict decoder refuses a parameter the
+	// service does not have (a removed one included) the same way.
+	for _, params := range []string{`{"trials":-1}`, `{"no_such_param":8}`} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"experiment":"aes","params":`+params+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST /v1/jobs with params %s: status %d, want 400", params, resp.StatusCode)
+		}
 	}
 
 	if n := len(s.List(ListFilter{})); n != 0 {
