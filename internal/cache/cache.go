@@ -48,6 +48,12 @@ type Cache struct {
 	// footprint is a few dozen sets out of 4096, so this is what makes warm
 	// restore proportional to work done instead of cache geometry.
 	dirty []uint64
+
+	// occupied holds one bit per set, raised when a miss fills a line there:
+	// a conservative superset of the sets holding valid lines. Save, Reset,
+	// FlushAll and a full Restore visit only these sets, so they cost the
+	// lines the cache holds, not its geometry.
+	occupied []uint64
 }
 
 // New returns an empty cache with the given geometry. sets must be a power
@@ -56,11 +62,14 @@ func New(sets, ways int) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("cache: bad geometry")
 	}
+	words := (sets + 63) / 64
+	setBits := make([]uint64, 2*words) // dirty, then occupied
 	c := &Cache{
-		sets:    make([][]line, sets),
-		setMask: uint64(sets - 1),
-		ways:    ways,
-		dirty:   make([]uint64, (sets+63)/64),
+		sets:     make([][]line, sets),
+		setMask:  uint64(sets - 1),
+		ways:     ways,
+		dirty:    setBits[:words:words],
+		occupied: setBits[words:],
 	}
 	backing := make([]line, sets*ways)
 	for i := range c.sets {
@@ -74,10 +83,19 @@ func (c *Cache) markDirty(si uint64) {
 	c.dirty[si>>6] |= 1 << (si & 63)
 }
 
-// markAllDirty raises every dirty bit (bulk mutations: FlushAll, Reset).
-func (c *Cache) markAllDirty() {
-	for i := range c.dirty {
-		c.dirty[i] = ^uint64(0)
+// markOccupied raises the occupied bit for set index si.
+func (c *Cache) markOccupied(si uint64) {
+	c.occupied[si>>6] |= 1 << (si & 63)
+}
+
+// forEachSet calls fn, in ascending order, with the index of every set
+// whose bit is raised in a per-set bitmap (dirty or occupied).
+func forEachSet(bitmap []uint64, fn func(si int)) {
+	for wi, w := range bitmap {
+		for w != 0 {
+			fn(wi<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
 	}
 }
 
@@ -94,7 +112,8 @@ func (c *Cache) locate(addr uint64) (set []line, key uint64) {
 // it hit. Misses allocate the line with LRU replacement.
 func (c *Cache) Access(addr uint64) (latency int, hit bool) {
 	c.tick++
-	c.markDirty((addr / LineSize) & c.setMask) // hits move LRU stamps too
+	si := (addr / LineSize) & c.setMask
+	c.markDirty(si) // hits move LRU stamps too
 	set, key := c.locate(addr)
 	for i := range set {
 		if set[i].key == key {
@@ -115,6 +134,7 @@ func (c *Cache) Access(addr uint64) (latency int, hit bool) {
 		}
 	}
 	set[victim] = line{key: key, lru: c.tick}
+	c.markOccupied(si)
 	return MissLatency, false
 }
 
@@ -222,14 +242,15 @@ func (c *Cache) EvictNth(r uint64) {
 	set[(r>>32)%uint64(c.ways)] = line{}
 }
 
-// FlushAll empties the cache.
+// FlushAll empties the cache. Only occupied sets can hold lines, so only
+// they are cleared and marked dirty; every other set is already empty and
+// stays as it was.
 func (c *Cache) FlushAll() {
-	c.markAllDirty()
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
+	forEachSet(c.occupied, func(si int) {
+		c.markDirty(uint64(si))
+		clear(c.sets[si])
+	})
+	clear(c.occupied)
 }
 
 // Reset returns the cache to its as-built state: every line invalid and

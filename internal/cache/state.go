@@ -1,48 +1,60 @@
 package cache
 
-import "math/bits"
+import "slices"
 
-// State is a saved Cache for the checkpoint layer: one flat copy of every
-// line plus the LRU clock and the cumulative counters. The clock is
-// observable state — replacement decisions compare lru stamps — so a
-// restored cache must get it back to stay cycle-accurate.
+// State is a saved Cache for the checkpoint layer: its valid lines, plus the
+// LRU clock and the cumulative counters. The clock is observable state —
+// replacement decisions compare lru stamps — so a restored cache must get
+// it back to stay cycle-accurate. A §9 trial leaves a few dozen valid lines
+// in the default cache's 65,536 ways, so a State costs the lines it holds,
+// not the cache's geometry.
 type State struct {
 	sets, ways int
 	tick       uint64
 	hits       uint64
 	misses     uint64
 	flushes    uint64
-	lines      []line // sets*ways, set-major
+	entries    []entry // valid lines only, in ascending idx order
 }
 
-// Save copies the cache into dst, reusing dst's storage. New does not
-// retain its backing array, so the copy walks the per-set slices.
+// entry is one valid line of a saved cache. idx is its set-major position,
+// set*ways + way: the order Hash and the wire form visit lines in.
+type entry struct {
+	idx  uint32
+	line line
+}
+
+// Save copies the cache's valid lines into dst, reusing dst's storage.
+// Only occupied sets can hold valid lines, so only they are visited.
 func (c *Cache) Save(dst *State) {
 	dst.sets, dst.ways = len(c.sets), c.ways
 	dst.tick, dst.hits, dst.misses, dst.flushes = c.tick, c.hits, c.misses, c.flushes
-	n := len(c.sets) * c.ways
-	if cap(dst.lines) < n {
-		dst.lines = make([]line, n)
-	}
-	dst.lines = dst.lines[:n]
-	for i, set := range c.sets {
-		copy(dst.lines[i*c.ways:(i+1)*c.ways], set)
-	}
+	dst.entries = dst.entries[:0]
+	forEachSet(c.occupied, func(si int) {
+		for w, l := range c.sets[si] {
+			if l.key != 0 {
+				dst.entries = append(dst.entries, entry{idx: uint32(si*c.ways + w), line: l})
+			}
+		}
+	})
 }
 
-// Restore overwrites the cache from a saved state of identical geometry.
-// Afterwards every set matches s, so all dirty bits clear.
+// Restore overwrites the cache from a saved state of identical geometry:
+// it empties the occupied sets and places s's lines. Afterwards every set
+// matches s, so all dirty bits clear.
 func (c *Cache) Restore(s *State) {
 	if s.sets != len(c.sets) || s.ways != c.ways {
 		panic("cache: restore state with mismatched geometry")
 	}
 	c.tick, c.hits, c.misses, c.flushes = s.tick, s.hits, s.misses, s.flushes
-	for i, set := range c.sets {
-		copy(set, s.lines[i*c.ways:(i+1)*c.ways])
+	forEachSet(c.occupied, func(si int) { clear(c.sets[si]) })
+	clear(c.occupied)
+	for _, e := range s.entries {
+		si := int(e.idx) / c.ways
+		c.sets[si][int(e.idx)%c.ways] = e.line
+		c.markOccupied(uint64(si))
 	}
-	for i := range c.dirty {
-		c.dirty[i] = 0
-	}
+	clear(c.dirty)
 }
 
 // RestoreDirty overwrites only the sets whose dirty bit is raised, plus the
@@ -56,30 +68,30 @@ func (c *Cache) RestoreDirty(s *State) {
 		panic("cache: restore state with mismatched geometry")
 	}
 	c.tick, c.hits, c.misses, c.flushes = s.tick, s.hits, s.misses, s.flushes
-	for wi, w := range c.dirty {
-		for w != 0 {
-			si := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if si >= len(c.sets) {
-				break
-			}
-			copy(c.sets[si], s.lines[si*c.ways:(si+1)*c.ways])
+	rest := s.entries // entries of the dirty sets not yet visited
+	forEachSet(c.dirty, func(si int) {
+		set := c.sets[si]
+		clear(set)
+		c.occupied[si>>6] &^= 1 << (si & 63)
+		// The set's lines are the run of entries in [si*ways, (si+1)*ways).
+		lo, hi := uint32(si*c.ways), uint32((si+1)*c.ways)
+		k, _ := slices.BinarySearchFunc(rest, lo, func(e entry, idx uint32) int { return int(e.idx) - int(idx) })
+		for rest = rest[k:]; len(rest) > 0 && rest[0].idx < hi; rest = rest[1:] {
+			set[rest[0].idx-lo] = rest[0].line
+			c.markOccupied(uint64(si))
 		}
-		c.dirty[wi] = 0
-	}
+	})
+	clear(c.dirty)
 }
 
 // Hash folds the saved cache into h (FNV-1a style, valid lines only).
 func (s *State) Hash(h uint64) uint64 {
 	mix := func(h, w uint64) uint64 { return (h ^ w) * 0x100000001b3 }
 	h = mix(h, s.tick)
-	for i := range s.lines {
-		if s.lines[i].key == 0 {
-			continue
-		}
-		h = mix(h, uint64(i))
-		h = mix(h, s.lines[i].key)
-		h = mix(h, s.lines[i].lru)
+	for _, e := range s.entries {
+		h = mix(h, uint64(e.idx))
+		h = mix(h, e.line.key)
+		h = mix(h, e.line.lru)
 	}
 	return h
 }

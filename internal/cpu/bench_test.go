@@ -123,8 +123,8 @@ func BenchmarkRestore(b *testing.B) {
 // BenchmarkDirtyRestore measures the dirty-tracked restore on the warm
 // per-trial path: each iteration runs a trial-sized workload (untimed) and
 // times only the rewind, which copies just the regions the trial touched.
-// The gap between this and BenchmarkRestore is the tentpole speedup
-// BENCH_delta.json pins on the real AES path.
+// BenchmarkRestore times the full rewind to the same snapshot; both are
+// gated in BENCH_baseline.json.
 func BenchmarkDirtyRestore(b *testing.B) {
 	p := benchProgram(b, 256)
 	m := New(Options{Seed: 1})

@@ -35,7 +35,7 @@ func (s *Snapshot) MarshalBinary() ([]byte, error) {
 // AppendBinary appends the encoding to buf and returns the extended slice —
 // the pooled-buffer path of MarshalBinary. The snapshot store and the
 // cluster worker's snapshot-serve path reuse encode buffers across calls,
-// so the ~1 MiB encoding does not allocate per spill or per fetch.
+// so the encoding does not allocate per spill or per fetch.
 func (s *Snapshot) AppendBinary(buf []byte) ([]byte, error) {
 	w := wire.NewWriterBuf(buf)
 	w.Raw([]byte(snapshotMagic))

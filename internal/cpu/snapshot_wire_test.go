@@ -1,10 +1,12 @@
 package cpu
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"pathfinder/internal/bpu"
+	"pathfinder/internal/cache"
 	"pathfinder/internal/faultinject"
 )
 
@@ -164,5 +166,58 @@ func TestSnapshotWireDeterministicBytes(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Fatal("identical machine histories encoded to different bytes")
+	}
+}
+
+// snapshotDecodeBytes reports the bytes allocated by snapshotting m into a
+// fresh Snapshot and by decoding that snapshot's encoding into another; the
+// encoding itself, whose buffer grows by doubling, is not counted.
+func snapshotDecodeBytes(t *testing.T, m *Machine) uint64 {
+	t.Helper()
+	var s, d Snapshot
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.SnapshotInto(&s)
+	runtime.ReadMemStats(&after)
+	n := after.TotalAlloc - before.TotalAlloc
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	err = d.UnmarshalBinary(blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Hash() != s.Hash() {
+		t.Fatal("decoded snapshot hash differs from its source's")
+	}
+	return n + after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSnapshotCacheCostIsSparse pins that a snapshot costs the cache lines
+// the machine holds: snapshotting a machine with n valid lines and decoding
+// its blob allocates O(n) bytes for the data cache, not a copy of the 1 MiB
+// of line records the cache's geometry spans. With no lines, what remains is
+// the predictor state, well under that 1 MiB. Each line may add at most 256
+// bytes: a 24-byte entry in each of the two states, and the reallocations
+// of the snapshot's entries as Save appends, which for long slices grow by
+// about a quarter at a time and so allocate several times the final size.
+func TestSnapshotCacheCostIsSparse(t *testing.T) {
+	m := New(Options{Seed: 1})
+	empty := snapshotDecodeBytes(t, m)
+	if empty >= 1<<20 {
+		t.Fatalf("snapshot and decode of a machine with an empty cache allocated %d bytes", empty)
+	}
+	for _, n := range []int{64, 1024, 8192} {
+		m.Data.Reset()
+		for i := 0; i < n; i++ {
+			m.Data.Access(uint64(i) * cache.LineSize)
+		}
+		if got := snapshotDecodeBytes(t, m); got > empty+256*uint64(n) {
+			t.Errorf("%d valid lines: snapshot and decode allocated %d bytes, %d with none: %.0f per line",
+				n, got, empty, float64(got-empty)/float64(n))
+		}
 	}
 }

@@ -620,10 +620,11 @@ func aesPhase1Key(opts Options, noise float64) WarmStateKey {
 // leaks. Noise keeps the success rate realistically below 100%.
 //
 // Phase 1 (control-flow recovery) and the final key recovery run on the
-// primary machine; the per-trial oracle queries run on forked attacks, each
-// on a pooled machine recycled to a seed derived from the trial index and
-// warmed with two unpoisoned capture runs (or restored from a shared
-// post-warm snapshot, below), and shard across the options' worker pool.
+// primary machine, which the call takes from the machine pool; the
+// per-trial oracle queries run on forked attacks, each on a pooled machine
+// recycled to a seed derived from the trial index and warmed with two
+// unpoisoned capture runs (or restored from a shared post-warm snapshot,
+// below), and shard across the options' worker pool.
 // Plaintexts and early-exit counts for every trial are drawn from a single
 // stream before sharding, so the report is byte-identical at every worker
 // count.
@@ -639,7 +640,9 @@ func AESLeakEval(ctx context.Context, opts Options, trials int, noise float64) (
 	// from fault injection so a noise profile degrades the per-trial
 	// measurements, not the attacker's own preparation.
 	co.Faults = nil
-	m := cpu.New(co)
+	primary := newPooledMachine(opts)
+	defer primary.release()
+	m := primary.take(co, nil)
 	key := append([]byte(nil), aesEvalKey...)
 	a, err := attack.NewAESAttack(m, key)
 	if err != nil {

@@ -5,15 +5,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pathfinder/internal/bpu"
 	"pathfinder/internal/cpu"
 )
 
 // machinePools holds idle one-hart machines for the whole process, one
 // sync.Pool per (arch name, PHR size) — the pair Machine.Recycle checks.
 // A recycled machine is observationally identical to a fresh one, so the
-// trials of different driver calls, jobs and sweeps share machines freely;
-// the GC frees idle ones, so the pools need no bound.
+// trials and primary machines of different driver calls, jobs and sweeps
+// share machines freely; the GC frees idle ones, so the pools need no bound.
 var machinePools sync.Map // machineKey -> *sync.Pool of *cpu.Machine
 
 type machineKey struct {
@@ -21,13 +20,60 @@ type machineKey struct {
 	phrSize int
 }
 
-func machinePool(arch bpu.Config) *sync.Pool {
-	k := machineKey{arch.Name, arch.PHRSize}
-	if p, ok := machinePools.Load(k); ok {
-		return p.(*sync.Pool)
+// pooledMachine is the one machine a holder keeps from the process-wide
+// pool: a sharded worker's, for all the trials it claims, or AESLeakEval's
+// primary machine, for the call.
+type pooledMachine struct {
+	pool *sync.Pool // nil under refModel: every take builds, nothing returns
+	m    *cpu.Machine
+}
+
+func newPooledMachine(opts Options) pooledMachine {
+	if opts.refModel {
+		return pooledMachine{}
 	}
-	p, _ := machinePools.LoadOrStore(k, new(sync.Pool))
-	return p.(*sync.Pool)
+	arch := opts.arch()
+	k := machineKey{arch.Name, arch.PHRSize}
+	p, ok := machinePools.Load(k)
+	if !ok {
+		p, _ = machinePools.LoadOrStore(k, new(sync.Pool))
+	}
+	return pooledMachine{pool: p.(*sync.Pool)}
+}
+
+// take returns the holder's machine in the state cpu.New(co) produces, then
+// restored to snap when snap is non-nil. The first take gets an idle machine
+// from the pool, or builds one. Under refModel, where the warm cache is off
+// and snap is always nil, every take builds a fresh machine instead, since
+// an oracle predictor cannot be recycled.
+func (p *pooledMachine) take(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine {
+	if p.pool == nil {
+		return cpu.New(co)
+	}
+	if p.m == nil {
+		if v := p.pool.Get(); v != nil {
+			p.m = v.(*cpu.Machine)
+		} else {
+			p.m = cpu.New(co)
+		}
+	}
+	if snap != nil {
+		// The fused form keeps the machine in restore-sync with a snapshot
+		// its previous trial also started from, so the rewind copies only
+		// what that trial touched.
+		p.m.RecycleRestore(co, snap)
+	} else {
+		p.m.Recycle(co)
+	}
+	return p.m
+}
+
+// release returns the holder's machine, if it took one, to the pool.
+func (p *pooledMachine) release() {
+	if p.m != nil {
+		p.pool.Put(p.m)
+		p.m = nil
+	}
 }
 
 // machFunc hands one trial attempt its machine, in the state cpu.New(co)
@@ -41,46 +87,25 @@ type machFunc func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine
 // options from (t, attempt), asks mach for the machine at most once per
 // attempt and writes its outcome into a per-index slot the driver owns.
 //
-// Each worker takes one machine from the process-wide pool for all the
-// trials it claims, recycles it before every attempt and returns it when
-// the run ends; under refModel every attempt gets a fresh machine instead,
-// since an oracle predictor cannot be recycled. After each attempt
-// runTrials adds the counters of the machine that attempt took, and it
-// returns their sum (merged in index order) with errs[t] holding the last
-// error of a trial that used up its attempts. A context error aborts the run
-// and is returned as err, with no partial results.
+// Each worker keeps one pooledMachine for all the trials it claims and
+// releases it when the run ends. After each attempt runTrials adds the
+// counters of the machine that attempt took, and it returns their sum
+// (merged in index order) with errs[t] holding the last error of a trial
+// that used up its attempts. A context error aborts the run and is returned
+// as err, with no partial results.
 func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFunc, t, attempt int) error) (errs []error, stats cpu.Counters, err error) {
 	errs = make([]error, n)
 	per := make([]cpu.Counters, n)
-	pool := machinePool(opts.arch())
 	workers := min(opts.workers(), n)
-	ms := make([]*cpu.Machine, workers) // each worker's pooled machine
+	ms := make([]pooledMachine, workers)
+	for w := range ms {
+		ms[w] = newPooledMachine(opts)
+	}
 	err = shardGroups(ctx, workers, n, func(w, t int) error {
 		var got *cpu.Machine // the current attempt's machine
 		mach := func(co cpu.Options, snap *cpu.Snapshot) *cpu.Machine {
-			if opts.refModel {
-				got = cpu.New(co)
-				return got
-			}
-			m := ms[w]
-			if m == nil {
-				if v := pool.Get(); v != nil {
-					m = v.(*cpu.Machine)
-				} else {
-					m = cpu.New(co)
-				}
-				ms[w] = m
-			}
-			if snap != nil {
-				// The fused form keeps the machine in restore-sync with a
-				// snapshot its previous trial also started from, so the
-				// rewind copies only what that trial touched.
-				m.RecycleRestore(co, snap)
-			} else {
-				m.Recycle(co)
-			}
-			got = m
-			return m
+			got = ms[w].take(co, snap)
+			return got
 		}
 		// The zero policy never waits, so the jitter seed is immaterial.
 		errs[t] = Retry{}.Do(ctx, int64(t), func(attempt int) error {
@@ -96,10 +121,8 @@ func runTrials(ctx context.Context, opts Options, n int, trial func(mach machFun
 		}
 		return nil
 	})
-	for _, m := range ms {
-		if m != nil {
-			pool.Put(m)
-		}
+	for w := range ms {
+		ms[w].release()
 	}
 	if err != nil {
 		return nil, cpu.Counters{}, err

@@ -97,9 +97,9 @@ func newWarmCache(capacity int) *warmCache {
 	}
 }
 
-// warm is the process-global cache. Snapshots are about a megabyte each
-// (dominated by the cache-line array), so the default bound keeps the cache
-// a few tens of megabytes at worst.
+// warm is the process-global cache. A snapshot is about the size of its
+// predictor tables, some 150 KB (the data cache keeps only its valid lines),
+// so the default bound keeps the cache a few megabytes at worst.
 var warm = newWarmCache(32)
 
 // get returns the cached entry for key, if present, marking it

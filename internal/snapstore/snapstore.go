@@ -47,8 +47,9 @@ const (
 	fileExt      = ".pfws"
 	tmpPrefix    = "tmp-"
 
-	// DefaultMaxBytes is the byte budget when Open is given none: a few
-	// hundred snapshots at the ~1 MiB each the cache-line array costs.
+	// DefaultMaxBytes is the byte budget when Open is given none: thousands
+	// of entries, since a snapshot encodes only nonzero predictor state and
+	// valid cache lines, tens of kilobytes for a trained §9 machine.
 	DefaultMaxBytes = 256 << 20
 
 	// maxFileBytes bounds a single entry read; a snapshot plus recovery
@@ -186,7 +187,7 @@ func fileName(key string) string {
 
 // bufPool recycles encode scratch — snapshot sections, recovery sections
 // and whole entry files — across saves, keeping the spill path
-// allocation-light (buffers are snapshot-sized, ~1 MiB).
+// allocation-light (buffers are encoding-sized, tens of kilobytes).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
