@@ -10,6 +10,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"pathfinder/internal/harness"
 	"pathfinder/internal/media"
@@ -36,14 +37,32 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return printReport(out, rep, *size, *show)
+}
+
+// printReport prints the Figure 7 table of rep, whose images are the first
+// of the size-px test set, with ASCII renderings of each original and its
+// recovery when show is set. A failed image gets its error in place of its
+// metrics and rendering, and printReport then returns an error naming every
+// failed image.
+func printReport(out io.Writer, rep *harness.Fig7Report, size int, show bool) error {
 	fmt.Fprintf(out, "%-12s %-16s %-14s %s\n", "image", "taken branches", "flag accuracy", "edge corr")
-	set := media.TestSet(*size)
+	set := media.TestSet(size)
+	var failed []string
 	for i, r := range rep.Images {
+		if r.Err != "" {
+			fmt.Fprintf(out, "%-12s failed: %s\n", r.Name, r.Err)
+			failed = append(failed, r.Name)
+			continue
+		}
 		fmt.Fprintf(out, "%-12s %-16d %-14.3f %.2f\n", r.Name, r.TakenBranches, r.FlagAccuracy, r.EdgeCorrelation)
-		if *show {
+		if show {
 			fmt.Fprintf(out, "\noriginal:\n%s\nrecovered complexity map:\n%s\n",
 				set[i].Image.ASCII(1), r.Recovered.ASCII(1))
 		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("imagerecover: %d of %d images failed: %s", len(failed), len(rep.Images), strings.Join(failed, ", "))
 	}
 	return nil
 }

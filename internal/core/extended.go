@@ -213,12 +213,6 @@ func addTransfers(cfg *pathfinder.CFG, prog *isa.Program, transfers map[string]s
 	return nil
 }
 
-// climbSuffix reconstructs the taken-branch suffix (most recent first) by
-// walking the search DAG backward in time from the final state, resolving
-// each ambiguous arrival with the PHT oracle. It stops at the first
-// ambiguity it cannot test — an arrival candidate whose register is not yet
-// fully covered by the verified extension, or an unconditional-branch tie —
-// returning the sound prefix recovered so far.
 // climbResult carries the outcome of one suffix climb.
 type climbResult struct {
 	suffix []pathfinder.Step

@@ -222,19 +222,38 @@ type DAG struct {
 	// Edges in compressed sparse row form: the predecessors of node n are
 	// preds[predOff[n]:predOff[n+1]], its successors succs[succOff[n]:
 	// succOff[n+1]], each list in the order the search linked its edges.
+	// An edge's step is derived from its two ends (step) when asked for.
 	predOff, succOff []int32
-	preds, succs     []Edge
+	preds, succs     []NodeID
 }
 
 // Preds lists the edges back in time from state n: every
-// observation-consistent way n could have been reached.
-func (d *DAG) Preds(n NodeID) []Edge { return d.preds[d.predOff[n]:d.predOff[n+1]] }
+// observation-consistent way n could have been reached. The slice is
+// fresh on every call.
+func (d *DAG) Preds(n NodeID) []Edge {
+	from := d.preds[d.predOff[n]:d.predOff[n+1]]
+	es := make([]Edge, len(from))
+	for i, f := range from {
+		step, hasStep := d.step(f, n)
+		es[i] = Edge{Node: f, Step: step, HasStep: hasStep}
+	}
+	return es
+}
 
 // Succs lists the edges forward in time from state n toward the final
 // state. A state has several only where control could have gone several
 // ways: a conditional branch's taken and not-taken continuations, or the
-// targets of a return or an indirect jump.
-func (d *DAG) Succs(n NodeID) []Edge { return d.succs[d.succOff[n]:d.succOff[n+1]] }
+// targets of a return or an indirect jump. The slice is fresh on every
+// call.
+func (d *DAG) Succs(n NodeID) []Edge {
+	to := d.succs[d.succOff[n]:d.succOff[n+1]]
+	es := make([]Edge, len(to))
+	for i, t := range to {
+		step, hasStep := d.step(n, t)
+		es[i] = Edge{Node: t, Step: step, HasStep: hasStep}
+	}
+	return es
+}
 
 // Addr returns the instruction address of state n.
 func (d *DAG) Addr(n NodeID) uint64 { return d.prog.Instrs[d.nodes[n].idx].Addr }
@@ -273,7 +292,7 @@ type item struct {
 }
 
 // link is one edge as the search found it; freeze lays the links out per
-// node and derives each one's step from its two ends.
+// node.
 type link struct {
 	from, to NodeID
 }
@@ -302,12 +321,20 @@ type searcher struct {
 	nodes      []node
 	index      table
 	links      []link
-	queue      []item
-	states     int // stored plus walked states: what MaxNodes caps
+	// queue[qi] is the item being expanded and queue[qi+1:] the items
+	// waiting, in FIFO order. The consumed items before qi are dropped once
+	// there are at least 64 of them and they make up half the queue.
+	queue  []item
+	qi     int
+	states int // stored plus walked states: what MaxNodes caps
 
 	terminals []NodeID // complete entry states
 	deepest   NodeID   // truncated state with the most reversals
 }
+
+// indexSlots is the size of a search's index when it starts. Tests lower
+// it (export_test.go) so that searches of a few states rehash their index.
+var indexSlots = 1 << 8
 
 // Search recovers the execution paths consistent with the observed PHR.
 // Most programs yield exactly one complete path (§6); crafted ambiguity,
@@ -353,7 +380,7 @@ func (c *CFG) SearchDAG(spec Spec) (*DAG, error) {
 		spec:    spec,
 		hist:    spec.Observed.AppendDoublets(make([]phr.Doublet, 0, size+len(spec.Ext))),
 		entry:   -1,
-		index:   newTable(1 << 8),
+		index:   newTable(indexSlots),
 		deepest: NoNode,
 	}
 	for _, d := range spec.Ext {
@@ -369,12 +396,19 @@ func (c *CFG) SearchDAG(spec Spec) (*DAG, error) {
 	}
 	root, _ := s.add(int32(final), 0, 0)
 	s.queue = append(s.queue, item{node: root, idx: -1})
-	for qi := 0; qi < len(s.queue); qi++ {
+	for ; s.qi < len(s.queue); s.qi++ {
 		if s.states > spec.MaxNodes {
 			return nil, fmt.Errorf("pathfinder: search exceeded %d states", spec.MaxNodes)
 		}
-		s.expand(s.queue[qi])
+		if s.qi >= 64 && 2*s.qi >= len(s.queue) {
+			s.queue = s.queue[:copy(s.queue, s.queue[s.qi:])]
+			s.qi = 0
+		}
+		s.expand(s.queue[s.qi])
 	}
+	// Neither is read again: let the collector have them while freeze
+	// builds the edge lists.
+	s.queue, s.index = nil, table{}
 	return s.freeze(root), nil
 }
 
@@ -499,9 +533,28 @@ func (s *searcher) add(idx, r int32, delta uint16) (NodeID, bool) {
 	}
 	id = NodeID(len(s.nodes))
 	s.nodes = push(s.nodes, node{idx: idx, r: r, delta: delta})
-	s.index.put(slot, key, id)
+	if s.index.put(slot, key, id) {
+		s.index.rehash(s.floor())
+	}
 	s.states++
 	return id, true
+}
+
+// floor returns the least depth the search can still look a state up at:
+// the least depth of the item being expanded and the items waiting, or 0
+// before the first expansion. Expanding a state at depth r looks up states
+// at depths r and r+1 only, and every item queued later is at least as deep
+// as the item whose expansion queued it, so the index can drop every state
+// below the floor.
+func (s *searcher) floor() int32 {
+	if s.qi >= len(s.queue) {
+		return 0
+	}
+	f := s.nodes[s.queue[s.qi].node].r
+	for _, it := range s.queue[s.qi+1:] {
+		f = min(f, s.nodes[it.node].r)
+	}
+	return f
 }
 
 // link records that the predecessor state (idx, r, delta) leads to the
@@ -602,42 +655,43 @@ func (s *searcher) freeze(root NodeID) *DAG {
 		nodes:     s.nodes,
 		predOff:   make([]int32, n+1),
 		succOff:   make([]int32, n+1),
-		preds:     make([]Edge, len(s.links)),
-		succs:     make([]Edge, len(s.links)),
+		preds:     make([]NodeID, len(s.links)),
+		succs:     make([]NodeID, len(s.links)),
 	}
+	// Sum the list lengths up to each node's end, then fill every list
+	// backward from its end, walking the links backward: each offset comes
+	// to rest at its list's start, and each list keeps link order.
 	for _, l := range s.links {
-		d.predOff[l.to+1]++
-		d.succOff[l.from+1]++
+		d.predOff[l.to]++
+		d.succOff[l.from]++
 	}
 	for i := 1; i <= n; i++ {
 		d.predOff[i] += d.predOff[i-1]
 		d.succOff[i] += d.succOff[i-1]
 	}
-	nextPred := slices.Clone(d.predOff[:n])
-	nextSucc := slices.Clone(d.succOff[:n])
-	for _, l := range s.links {
-		step, hasStep := d.step(l)
-		d.preds[nextPred[l.to]] = Edge{Node: l.from, Step: step, HasStep: hasStep}
-		nextPred[l.to]++
-		d.succs[nextSucc[l.from]] = Edge{Node: l.to, Step: step, HasStep: hasStep}
-		nextSucc[l.from]++
+	for _, l := range slices.Backward(s.links) {
+		d.predOff[l.to]--
+		d.preds[d.predOff[l.to]] = l.from
+		d.succOff[l.from]--
+		d.succs[d.succOff[l.from]] = l.to
 	}
 	d.markAlive()
 	return d
 }
 
-// step derives the branch event of link l from the instruction it leaves.
-// A link one reversal deeper is the taken branch from that instruction to
-// the later state's; a same-depth link out of a conditional branch is its
-// not-taken fallthrough; any other same-depth link is a plain fallthrough
-// or a transfer, with no step.
-func (d *DAG) step(l link) (Step, bool) {
-	from, to := d.nodes[l.from], d.nodes[l.to]
-	in := &d.prog.Instrs[from.idx]
-	if from.r > to.r {
+// step derives the branch event of the edge from the earlier state from to
+// the later state to, reading the instruction the edge leaves. An edge one
+// reversal deeper is the taken branch from that instruction to the later
+// state's; a same-depth edge out of a conditional branch is its not-taken
+// fallthrough; any other same-depth edge is a plain fallthrough or a
+// transfer, with no step.
+func (d *DAG) step(from, to NodeID) (Step, bool) {
+	f, t := d.nodes[from], d.nodes[to]
+	in := &d.prog.Instrs[f.idx]
+	if f.r > t.r {
 		kind := takenKind(in.Op)
 		return Step{
-			Addr: in.Addr, Target: d.prog.Instrs[to.idx].Addr, Taken: true,
+			Addr: in.Addr, Target: d.prog.Instrs[t.idx].Addr, Taken: true,
 			Conditional: kind == EdgeCondTaken, Kind: kind,
 		}, true
 	}
@@ -661,10 +715,10 @@ func (d *DAG) markAlive() {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range d.Succs(n) {
-			if !d.nodes[e.Node].alive {
-				d.nodes[e.Node].alive = true
-				stack = append(stack, e.Node)
+		for _, to := range d.succs[d.succOff[n]:d.succOff[n+1]] {
+			if !d.nodes[to].alive {
+				d.nodes[to].alive = true
+				stack = append(stack, to)
 			}
 		}
 	}
@@ -680,19 +734,20 @@ func (d *DAG) paths(starts []NodeID, complete bool, limit int) []Path {
 		if len(out) >= limit {
 			return
 		}
-		succs := d.Succs(n)
+		succs := d.succs[d.succOff[n]:d.succOff[n+1]]
 		if len(succs) == 0 {
 			cp := make([]Step, len(steps))
 			copy(cp, steps)
 			out = append(out, Path{Steps: cp, Complete: complete})
 			return
 		}
-		for _, e := range succs {
-			if e.HasStep {
-				steps = append(steps, e.Step)
+		for _, to := range succs {
+			step, hasStep := d.step(n, to)
+			if hasStep {
+				steps = append(steps, step)
 			}
-			walk(e.Node)
-			if e.HasStep {
+			walk(to)
+			if hasStep {
 				steps = steps[:len(steps)-1]
 			}
 		}

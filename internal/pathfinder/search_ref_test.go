@@ -647,3 +647,35 @@ func FuzzSearchDAGVsReference(f *testing.F) {
 		checkCapture(t, cpu.New(cpu.Options{Seed: 1}), victim.RandomCFG(seed, 2+int(segments%10)), 0)
 	})
 }
+
+// smallIndexSeed and smallIndexSegments are a fuzz input on which a search
+// whose index starts at 4 slots rehashes while the item being expanded is
+// shallower than every item waiting: a floor that left that item out would
+// drop states it still looks up.
+const smallIndexSeed, smallIndexSegments = 239, 0x7f
+
+// TestSearchDAGSmallIndexMatchesReference runs every case of
+// TestSearchDAGMatchesReference, and one random CFG, with each search's
+// index starting at 4 slots, so that the searches rehash their index and
+// drop finished depths many times over.
+func TestSearchDAGSmallIndexMatchesReference(t *testing.T) {
+	pathfinder.SmallIndex(t)
+	TestSearchDAGMatchesReference(t)
+	const segments = 2 + smallIndexSegments%10
+	t.Run(fmt.Sprintf("randomcfg-%d-%d", smallIndexSeed, segments), func(t *testing.T) {
+		checkCapture(t, cpu.New(cpu.Options{Seed: 1}), victim.RandomCFG(smallIndexSeed, segments), 0)
+	})
+}
+
+// FuzzSearchDAGSmallIndexVsReference is FuzzSearchDAGVsReference with each
+// search's index starting at 4 slots.
+func FuzzSearchDAGSmallIndexVsReference(f *testing.F) {
+	for seed := int64(23); seed <= 28; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Add(int64(smallIndexSeed), uint8(smallIndexSegments))
+	f.Fuzz(func(t *testing.T, seed int64, segments uint8) {
+		pathfinder.SmallIndex(t)
+		checkCapture(t, cpu.New(cpu.Options{Seed: 1}), victim.RandomCFG(seed, 2+int(segments%10)), 0)
+	})
+}

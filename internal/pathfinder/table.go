@@ -2,13 +2,16 @@ package pathfinder
 
 // table indexes a search's stored states by their packed keys (keyOf): an
 // open-addressing hash table with linear probing, at most half full. A
-// slot holds the key itself, so growth re-places every entry from its slot
-// without reading the node arena, and the hash is a fixed mixer with no
-// per-process seed, so a search probes and allocates the same way in every
-// run. Key 0 marks an empty slot and is never stored.
+// slot holds the key itself, so a rehash re-places entries from their
+// slots without reading the node arena, and the hash is a fixed mixer with
+// no per-process seed, so a search probes and allocates the same way in
+// every run. Key 0 marks an empty slot and is never stored.
 type table struct {
 	slots []slot // a power of two of them
 	used  int
+	// spare is the slice the last rehash moved the keys out of, when it had
+	// the size of the new one: the next rehash to that size reuses it.
+	spare []slot
 }
 
 type slot struct {
@@ -29,6 +32,9 @@ func mix(k uint64) uint64 {
 	return k
 }
 
+// depthOf returns the reversal count packed into key.
+func depthOf(key uint64) int32 { return int32(key>>deltaBits) & (1<<depthBits - 1) }
+
 // find returns the NodeID stored under key and its slot, or NoNode and the
 // empty slot where put must then store key.
 func (t *table) find(key uint64) (NodeID, int) {
@@ -44,18 +50,42 @@ func (t *table) find(key uint64) (NodeID, int) {
 }
 
 // put stores id under key in slot i, the empty slot find returned for key,
-// and doubles the table once more than half its slots are used.
-func (t *table) put(i int, key uint64, id NodeID) {
+// and reports whether more than half the slots are now used, in which case
+// the table must be rehashed before the next find.
+func (t *table) put(i int, key uint64, id NodeID) bool {
 	t.slots[i] = slot{key: key, id: id}
 	t.used++
-	if 2*t.used <= len(t.slots) {
-		return
+	return 2*t.used > len(t.slots)
+}
+
+// rehash drops every key below depth floor and re-places the rest in a
+// table at most a third full: the smallest power of two, and at least 4,
+// of no fewer than three slots per kept key.
+func (t *table) rehash(floor int32) {
+	kept := 0
+	for _, sl := range t.slots {
+		if sl.key != 0 && depthOf(sl.key) >= floor {
+			kept++
+		}
+	}
+	n := 4
+	for n < 3*kept {
+		n *= 2
 	}
 	old := t.slots
-	t.slots = make([]slot, 2*len(old))
-	mask := len(t.slots) - 1
+	if len(t.spare) == n {
+		t.slots = t.spare
+		clear(t.slots)
+	} else {
+		t.slots = make([]slot, n)
+	}
+	t.spare = nil
+	if len(old) == n {
+		t.spare = old
+	}
+	mask := n - 1
 	for _, sl := range old {
-		if sl.key == 0 {
+		if sl.key == 0 || depthOf(sl.key) < floor {
 			continue
 		}
 		j := int(mix(sl.key)) & mask
@@ -64,4 +94,5 @@ func (t *table) put(i int, key uint64, id NodeID) {
 		}
 		t.slots[j] = sl
 	}
+	t.used = kept
 }
